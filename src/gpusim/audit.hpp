@@ -6,14 +6,19 @@
 // abstract interface; the concrete shadow-state checker lives in
 // src/verify/shadow.* so gpusim carries no dependency on the verifier.
 //
-// Auditors attached to a Launcher are shared by all blocks of a launch, and
-// blocks may be simulated on a pool of host threads: implementations must be
-// internally synchronized.  All hooks are called after the access's cost has
-// been computed (and before data movement), with the same address span the
-// cost model saw.
+// Blocks may be simulated on a pool of host threads, so an auditor attached
+// to a Launcher never sees hooks directly: every block records into a private
+// shard (block_shard()), and after all blocks of a launch or graph have
+// succeeded the launcher folds the shards into the attached auditor in
+// (enqueue id, block id) order (merge_from()).  Hooks therefore need no
+// synchronization, the folded result is identical for every worker count, and
+// a throwing kernel commits no audit state.  All hooks are called after the
+// access's cost has been computed (and before data movement), with the same
+// address span the cost model saw.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string_view>
 
@@ -66,6 +71,16 @@ class MemoryAuditor {
     (void)lanes;
     (void)is_write;
   }
+
+  /// A fresh, empty auditor of the same configuration that records one
+  /// block's hooks.  Called concurrently by the launcher's workers, so it
+  /// must not modify this auditor.
+  [[nodiscard]] virtual std::unique_ptr<MemoryAuditor> block_shard() const = 0;
+
+  /// Folds everything `shard` (a block_shard() of this auditor) observed
+  /// into this auditor, as if its hooks had been called here.  The launcher
+  /// calls it once per block, in block order, on one thread.
+  virtual void merge_from(const MemoryAuditor& shard) = 0;
 };
 
 }  // namespace cfmerge::gpusim

@@ -202,7 +202,8 @@ class BlockContext {
   [[nodiscard]] TraceSink* trace() const { return trace_; }
 
   /// Attaches a memory auditor (opt-in shadow checking; see gpusim/audit.hpp).
-  /// The auditor is shared across blocks and must be internally synchronized.
+  /// The Launcher attaches the block's private shard (MemoryAuditor::
+  /// block_shard), so hooks reach it from this block's thread only.
   void set_audit(MemoryAuditor* audit) { audit_ = audit; }
   [[nodiscard]] MemoryAuditor* audit() const { return audit_; }
   /// Enables certified-skip audit mode: accesses backed by a Pass 3 safety

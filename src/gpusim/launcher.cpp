@@ -39,7 +39,8 @@ struct BlockOutcome {
   std::uint64_t bulk_charges = 0;
   std::uint64_t lane_charges = 0;
   std::uint64_t audit_skipped = 0;
-  std::unique_ptr<TraceSink> trace;  // only when a sink is attached
+  std::unique_ptr<TraceSink> trace;      // only when a sink is attached
+  std::unique_ptr<MemoryAuditor> audit;  // only when an auditor is attached
   std::exception_ptr error;
 };
 
@@ -59,14 +60,15 @@ struct PoolJoiner {
 };
 
 /// Simulates one block of one kernel into its private outcome slot.
-void simulate_block(const DeviceSpec& dev, L2Cache* l2, MemoryAuditor* audit,
+void simulate_block(const DeviceSpec& dev, L2Cache* l2, const MemoryAuditor* audit,
                     bool audit_skip, bool tracing, const LaunchShape& shape,
                     const KernelBody& body, int block, BlockOutcome& out) {
   if (tracing) out.trace = std::make_unique<TraceSink>();
+  if (audit != nullptr) out.audit = audit->block_shard();
   BlockContext ctx(dev, block, shape.blocks, shape.threads_per_block);
   ctx.set_trace(out.trace.get());
   ctx.set_l2(l2);
-  ctx.set_audit(audit);
+  ctx.set_audit(out.audit.get());
   ctx.set_audit_skip(audit_skip);
   body(ctx);
   out.counters = ctx.counters();
@@ -224,14 +226,13 @@ GraphReport Launcher::run(const KernelGraph& graph, GraphExec mode) {
     out.kernels.push_back(std::move(report));
   }
 
-  // Commit: merge traces and append history in enqueue order — the event
-  // stream and history are identical to serial launch-by-launch execution.
-  if (trace_ != nullptr)
-    for (const std::vector<BlockOutcome>& node_outcomes : outcomes)
-      for (const BlockOutcome& b : node_outcomes)
-        if (b.trace != nullptr) trace_->merge_from(*b.trace);
+  // Commit: merge traces and audit shards and append history in enqueue
+  // order — the event stream, audit summary and history are identical to
+  // serial launch-by-launch execution.
   for (const std::vector<BlockOutcome>& node_outcomes : outcomes)
     for (const BlockOutcome& b : node_outcomes) {
+      if (b.trace != nullptr) trace_->merge_from(*b.trace);
+      if (b.audit != nullptr) audit_->merge_from(*b.audit);
       bulk_charges_ += b.bulk_charges;
       lane_charges_ += b.lane_charges;
       audit_skipped_accesses_ += b.audit_skipped;

@@ -22,6 +22,10 @@
 //    into the attached sink in block order after all blocks finish — the
 //    event stream is identical to sequential recording, and a throwing
 //    kernel leaves the attached sink untouched.
+//  * MemoryAuditor: blocks record into private shards (block_shard) that are
+//    folded into the attached auditor in block order after all blocks
+//    finish — violations, their cap and the drop count are identical to
+//    sequential auditing, and a throwing kernel leaves the auditor untouched.
 //  * L2Cache: a single order-sensitive LRU shared by the whole device; its
 //    hit pattern depends on the block interleaving, so when the L2 model is
 //    enabled the launcher forces the sequential fallback (workers = 1).
@@ -98,8 +102,9 @@ class Launcher {
   void set_trace(TraceSink* sink) { trace_ = sink; }
 
   /// Attaches a memory auditor observing every access of subsequent launches
-  /// (nullptr detaches).  Shared by all blocks — implementations must be
-  /// internally synchronized.  See gpusim/audit.hpp.
+  /// (nullptr detaches).  Each block records into its own shard, folded in
+  /// block order at commit, so hooks need no synchronization.  See
+  /// gpusim/audit.hpp.
   void set_audit(MemoryAuditor* audit) { audit_ = audit; }
   [[nodiscard]] MemoryAuditor* audit() const { return audit_; }
 
@@ -126,7 +131,8 @@ class Launcher {
   /// The report is also appended to the launch history.  When the body
   /// throws for any block, the exception of the lowest-id failing block is
   /// rethrown after all workers have been joined, and neither the history,
-  /// nor the attached trace sink, nor any launcher statistic is modified.
+  /// nor the attached trace sink or auditor, nor any launcher statistic is
+  /// modified.
   KernelReport launch(const std::string& name, const LaunchShape& shape,
                       const std::function<void(BlockContext&)>& body);
 
@@ -139,7 +145,7 @@ class Launcher {
   /// When any kernel body throws, the exception of the earliest failing
   /// (enqueue id, block id) in the earliest failing wavefront is rethrown
   /// after all workers joined, and neither the history, nor the attached
-  /// trace sink, nor any launcher statistic is modified.
+  /// trace sink or auditor, nor any launcher statistic is modified.
   GraphReport run(const KernelGraph& graph, GraphExec mode = GraphExec::Overlap);
 
   [[nodiscard]] const std::vector<KernelReport>& history() const { return history_; }

@@ -102,6 +102,8 @@ struct ShadowViolation {
   std::string phase;
   std::int64_t addr = 0;
   std::string detail;
+
+  friend bool operator==(const ShadowViolation&, const ShadowViolation&) = default;
 };
 
 struct ShadowSummary {
@@ -117,6 +119,8 @@ struct ShadowSummary {
   [[nodiscard]] bool clean() const {
     return violations.empty() && dropped_violations == 0;
   }
+
+  friend bool operator==(const ShadowSummary&, const ShadowSummary&) = default;
 };
 
 /// Aggregate result of one cfverify run.

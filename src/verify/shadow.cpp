@@ -1,7 +1,9 @@
 #include "verify/shadow.hpp"
 
 #include <algorithm>
+#include <array>
 #include <sstream>
+#include <stdexcept>
 
 #include "gpusim/shared_memory.hpp"
 #include "numtheory/numtheory.hpp"
@@ -12,51 +14,73 @@ namespace {
 
 /// Independent naive recount of one access's replay cost: distinct addresses
 /// per bank, max over banks.  Deliberately the simplest possible
-/// formulation — it cross-checks the optimized chain-scan hot path.
+/// formulation, and never shared_access_cost — it cross-checks that
+/// optimized hot path.  Fixed buffers bounded by the warp width: one mod per
+/// distinct address, then a per-bank tally.
 int naive_conflicts(std::span<const std::int64_t> addrs, int banks) {
-  std::vector<std::int64_t> distinct;
-  for (const std::int64_t a : addrs) {
-    if (a == gpusim::kInactiveLane) continue;
-    if (std::find(distinct.begin(), distinct.end(), a) == distinct.end())
-      distinct.push_back(a);
-  }
-  if (distinct.empty()) return 0;
+  constexpr int kMax = gpusim::kMaxLanes;
+  if (addrs.size() > static_cast<std::size_t>(kMax))
+    throw std::invalid_argument("ShadowChecker: warp access wider than kMaxLanes lanes");
+  if (banks <= 0 || banks > kMax)
+    throw std::invalid_argument("ShadowChecker: bank count outside [1, kMaxLanes]");
+  std::array<std::int64_t, kMax> distinct;
+  const auto first = distinct.begin();
+  auto last = first;
+  for (const std::int64_t a : addrs)
+    if (a != gpusim::kInactiveLane && std::find(first, last, a) == last) *last++ = a;
+  std::array<int, kMax> tally{};
   int worst = 1;
-  for (std::size_t i = 0; i < distinct.size(); ++i) {
-    int degree = 0;
-    for (const std::int64_t a : distinct)
-      if (numtheory::mod(a, banks) == numtheory::mod(distinct[i], banks)) ++degree;
-    worst = std::max(worst, degree);
-  }
+  for (auto it = first; it != last; ++it)
+    worst = std::max(worst, ++tally[static_cast<std::size_t>(numtheory::mod(*it, banks))]);
   return worst - 1;
 }
 
 }  // namespace
 
-void ShadowChecker::report(std::string kind, int block, int warp,
-                           std::string_view phase, std::int64_t addr,
-                           std::string detail) {
+void ShadowChecker::own(int block) {
+  if (block_ == block) return;
+  if (block_ != -1) {
+    std::ostringstream os;
+    os << "ShadowChecker: shadow state belongs to block " << block_ << ", got a hook for block "
+       << block << " (give each block its own block_shard())";
+    throw std::logic_error(os.str());
+  }
+  block_ = block;
+}
+
+std::vector<ShadowChecker::Word>* ShadowChecker::tile(std::uint64_t tile_id) {
+  return tile_id < tiles_.size() ? &tiles_[tile_id] : nullptr;
+}
+
+void ShadowChecker::record(ShadowViolation v) {
   if (summary_.violations.size() >= max_violations_) {
     ++summary_.dropped_violations;
     return;
   }
-  summary_.violations.push_back(ShadowViolation{
-      std::move(kind), block, warp, std::string(phase), addr, std::move(detail)});
+  summary_.violations.push_back(std::move(v));
+}
+
+void ShadowChecker::report(std::string kind, int block, int warp,
+                           std::string_view phase, std::int64_t addr,
+                           std::string detail) {
+  record(ShadowViolation{std::move(kind), block, warp, std::string(phase), addr,
+                         std::move(detail)});
 }
 
 void ShadowChecker::on_shared_alloc(int block, std::uint64_t tile_id,
                                     std::size_t words) {
-  const std::lock_guard<std::mutex> lock(mu_);
+  own(block);
   summary_.enabled = true;
   summary_.checked_words += words;
-  tiles_[{block, tile_id}].words.assign(words, Word{});
+  if (tile_id >= tiles_.size()) tiles_.resize(tile_id + 1);
+  tiles_[tile_id].assign(words, Word{});
 }
 
 void ShadowChecker::on_shared_raw(int block, std::uint64_t tile_id) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = tiles_.find({block, tile_id});
-  if (it == tiles_.end()) return;
-  for (Word& w : it->second.words) {
+  own(block);
+  std::vector<Word>* words = tile(tile_id);
+  if (words == nullptr) return;
+  for (Word& w : *words) {
     w.written = true;
     w.writer_warp = -2;
     w.epoch = -1;
@@ -67,7 +91,7 @@ void ShadowChecker::on_shared_access(int block, std::uint64_t tile_id, int warp,
                                      std::string_view phase,
                                      std::span<const std::int64_t> addrs,
                                      bool is_write, int banks, int charged_conflicts) {
-  const std::lock_guard<std::mutex> lock(mu_);
+  own(block);
   ++summary_.shared_accesses;
 
   const int recount = naive_conflicts(addrs, banks);
@@ -78,10 +102,10 @@ void ShadowChecker::on_shared_access(int block, std::uint64_t tile_id, int warp,
     report("conflict-mismatch", block, warp, phase, -1, os.str());
   }
 
-  const auto it = tiles_.find({block, tile_id});
-  if (it == tiles_.end()) return;
-  auto& words = it->second.words;
-  const std::int64_t epoch = epoch_[block];
+  std::vector<Word>* tile_words = tile(tile_id);
+  if (tile_words == nullptr) return;
+  std::vector<Word>& words = *tile_words;
+  const std::int64_t epoch = epoch_;
 
   for (std::size_t lane = 0; lane < addrs.size(); ++lane) {
     const std::int64_t a = addrs[lane];
@@ -128,7 +152,6 @@ void ShadowChecker::on_shared_access(int block, std::uint64_t tile_id, int warp,
 void ShadowChecker::on_global_access(int block, int warp, std::string_view phase,
                                      std::span<const std::int64_t> idxs,
                                      std::int64_t view_size, bool is_write) {
-  const std::lock_guard<std::mutex> lock(mu_);
   for (std::size_t lane = 0; lane < idxs.size(); ++lane) {
     const std::int64_t i = idxs[lane];
     if (i == gpusim::kInactiveLane) continue;
@@ -142,8 +165,8 @@ void ShadowChecker::on_global_access(int block, int warp, std::string_view phase
 }
 
 void ShadowChecker::on_barrier(int block) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  ++epoch_[block];
+  own(block);
+  ++epoch_;
 }
 
 void ShadowChecker::on_certified_skip(int block, std::uint64_t tile_id,
@@ -151,17 +174,17 @@ void ShadowChecker::on_certified_skip(int block, std::uint64_t tile_id,
                                       std::uint64_t accesses, int lanes,
                                       bool is_write) {
   (void)lanes;
-  const std::lock_guard<std::mutex> lock(mu_);
+  own(block);
   summary_.skipped_accesses += accesses;
   if (!is_write) return;
   // Trust the Pass 3 certificate: its bounds / disjointness / coverage proof
   // stands in for per-word bookkeeping, so mark the whole reported range
   // written.  writer_warp -3 is excluded from the cross-warp race check, as
   // the certificate already proved intra-epoch write disjointness.
-  const auto it = tiles_.find({block, tile_id});
-  if (it == tiles_.end()) return;
-  auto& words = it->second.words;
-  const std::int64_t epoch = epoch_[block];
+  std::vector<Word>* tile_words = tile(tile_id);
+  if (tile_words == nullptr) return;
+  std::vector<Word>& words = *tile_words;
+  const std::int64_t epoch = epoch_;
   const std::int64_t end = std::min(hi, static_cast<std::int64_t>(words.size()));
   for (std::int64_t a = std::max<std::int64_t>(lo, 0); a < end; ++a) {
     Word& w = words[static_cast<std::size_t>(a)];
@@ -171,15 +194,27 @@ void ShadowChecker::on_certified_skip(int block, std::uint64_t tile_id,
   }
 }
 
-ShadowSummary ShadowChecker::summary() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return summary_;
+std::unique_ptr<gpusim::MemoryAuditor> ShadowChecker::block_shard() const {
+  return std::make_unique<ShadowChecker>(max_violations_);
+}
+
+void ShadowChecker::merge_from(const gpusim::MemoryAuditor& shard) {
+  // A shard kept at most max_violations_ of its own, and this checker can
+  // admit no more than that from it, so the fold keeps exactly the first
+  // max_violations_ violations of the block-ordered stream.
+  const ShadowSummary& s = dynamic_cast<const ShadowChecker&>(shard).summary_;
+  summary_.enabled = summary_.enabled || s.enabled;
+  summary_.shared_accesses += s.shared_accesses;
+  summary_.checked_words += s.checked_words;
+  summary_.skipped_accesses += s.skipped_accesses;
+  for (const ShadowViolation& v : s.violations) record(v);
+  summary_.dropped_violations += s.dropped_violations;
 }
 
 void ShadowChecker::reset() {
-  const std::lock_guard<std::mutex> lock(mu_);
+  block_ = -1;
   tiles_.clear();
-  epoch_.clear();
+  epoch_ = 0;
   const bool enabled = summary_.enabled;
   summary_ = ShadowSummary{};
   summary_.enabled = enabled;

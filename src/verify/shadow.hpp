@@ -15,14 +15,17 @@
 //                        independent naive recount of the same access — the
 //                        dynamic cross-check of Pass 1's cost model
 //
-// The checker is shared by all blocks of a launch (blocks may run on a host
-// thread pool), so every hook takes one internal mutex; attach it only when
-// verifying, not when benchmarking.
+// A checker's shadow state covers the tiles of ONE block, numbered in
+// allocation order.  Attached to a Launcher, it never sees hooks itself:
+// each block records into a private shard (block_shard()) with no locking,
+// and the launcher folds the shards in block order (merge_from()), so the
+// summary — violation order, the cap and the drop count included — is the
+// same for every worker count.  Driving the hooks directly (tests, replays)
+// is fine for a single block; hooks for a second block are rejected.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <mutex>
+#include <memory>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -50,9 +53,13 @@ class ShadowChecker final : public gpusim::MemoryAuditor {
   void on_certified_skip(int block, std::uint64_t tile_id, std::int64_t lo,
                          std::int64_t hi, std::uint64_t accesses, int lanes,
                          bool is_write) override;
+  [[nodiscard]] std::unique_ptr<gpusim::MemoryAuditor> block_shard() const override;
+  /// Adds the shard's counts and appends its violations, applying this
+  /// checker's cap.  Throws std::bad_cast unless `shard` is a ShadowChecker.
+  void merge_from(const gpusim::MemoryAuditor& shard) override;
 
   /// Snapshot of everything observed so far.
-  [[nodiscard]] ShadowSummary summary() const;
+  [[nodiscard]] ShadowSummary summary() const { return summary_; }
   /// Drops all shadow state and violations (e.g. between launches).
   void reset();
 
@@ -62,17 +69,20 @@ class ShadowChecker final : public gpusim::MemoryAuditor {
     int writer_warp = -1;   ///< -2 = raw() escape, -3 = certified-skip bulk
     std::int64_t epoch = -1;
   };
-  struct Tile {
-    std::vector<Word> words;
-  };
 
+  /// Binds the shadow state to `block` on first use; throws
+  /// std::logic_error if another block's hooks arrive afterwards.
+  void own(int block);
+  /// The shadow words of `tile_id`, or nullptr if it was never allocated.
+  std::vector<Word>* tile(std::uint64_t tile_id);
   void report(std::string kind, int block, int warp, std::string_view phase,
               std::int64_t addr, std::string detail);
+  void record(ShadowViolation v);
 
   const std::size_t max_violations_;
-  mutable std::mutex mu_;
-  std::map<std::pair<int, std::uint64_t>, Tile> tiles_;
-  std::map<int, std::int64_t> epoch_;  ///< per-block barrier epoch
+  int block_ = -1;  ///< block the shadow state belongs to (-1: none yet)
+  std::vector<std::vector<Word>> tiles_;  ///< indexed by tile_id
+  std::int64_t epoch_ = 0;                ///< the block's barrier epoch
   ShadowSummary summary_;
 };
 

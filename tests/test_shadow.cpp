@@ -7,16 +7,34 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
+#include <stdexcept>
 #include <vector>
 
 #include "cfprims/primitive.hpp"
 #include "gpusim/launcher.hpp"
 #include "gpusim/memory_views.hpp"
+#include "gpusim/shared_memory.hpp"
 #include "sort/merge_sort.hpp"
 #include "verify/safety.hpp"
 
 using namespace cfmerge;
 using namespace cfmerge::verify;
+
+namespace cfmerge::verify {
+
+// gtest failure output for summary comparisons.
+void PrintTo(const ShadowSummary& s, std::ostream* os) {
+  *os << "{accesses=" << s.shared_accesses << " words=" << s.checked_words
+      << " skipped=" << s.skipped_accesses << " dropped=" << s.dropped_violations
+      << " violations:";
+  for (const ShadowViolation& v : s.violations)
+    *os << " [" << v.kind << " block=" << v.block << " warp=" << v.warp << " addr=" << v.addr
+        << "]";
+  *os << "}";
+}
+
+}  // namespace cfmerge::verify
 
 namespace {
 
@@ -25,6 +43,40 @@ std::size_t count_kind(const ShadowSummary& s, const std::string& kind) {
   return static_cast<std::size_t>(
       std::count_if(s.violations.begin(), s.violations.end(),
                     [&](const ShadowViolation& v) { return v.kind == kind; }));
+}
+
+/// A kernel whose blocks raise every violation kind, in a block-dependent
+/// mix (every third block is clean), so both the capped violation list and
+/// the drop count depend on the order blocks are audited in.
+gpusim::KernelBody violating_kernel(int salt) {
+  return [salt](gpusim::BlockContext& ctx) {
+    const int b = ctx.block_id();
+    const int mix = (b + salt) % 3;
+    gpusim::MemoryAuditor* au = ctx.audit();
+    gpusim::SharedTile<int> tile(ctx, 8);
+    std::vector<std::int64_t> lo{0, 1, 2, 3};
+    std::vector<int> vals{1, 2, 3, 4};
+    tile.scatter(0, lo, vals);
+    if (mix == 0) return;
+    // uninitialized-read: words 4.. were never written.
+    std::vector<std::int64_t> unwritten{4, 5, gpusim::kInactiveLane, 4 + b % 4};
+    tile.gather(0, unwritten, vals);
+    // write-write-race: another warp rewrites words 0..3 in the same epoch.
+    tile.scatter(1, lo, vals);
+    if (mix == 2) {
+      // write-write-race: two lanes of one scatter on one word.
+      ctx.barrier();
+      std::vector<std::int64_t> dup{6, 6, 7, gpusim::kInactiveLane};
+      tile.scatter(2, dup, vals);
+    }
+    // out-of-bounds (shared and global) and conflict-mismatch go through the
+    // hooks directly: the data-moving views assert in-bounds addresses.
+    const std::vector<std::int64_t> oob{1, 8 + b, 2, 3};
+    au->on_shared_access(b, 0, 3, "probe", oob, /*is_write=*/false, ctx.lanes(),
+                         /*charged_conflicts=*/b % 2);
+    const std::vector<std::int64_t> gidx{0, 16 + b};
+    au->on_global_access(b, 3, "probe", gidx, 16, /*is_write=*/true);
+  };
 }
 
 }  // namespace
@@ -334,4 +386,167 @@ TEST(Shadow, StaticSafetyWitnessesReplayDynamically) {
     EXPECT_TRUE(witness_word_seen)
         << "static witness word " << cx.addr1 << " not flagged dynamically";
   }
+}
+
+TEST(Shadow, SummaryIsIndependentOfThreadsAndGraphMode) {
+  // Three kernels, two independent and one dependent, so Overlap mode mixes
+  // blocks of different kernels on the pool.  A small cap keeps only the
+  // first violations: they must be the ones a one-thread run keeps.
+  gpusim::KernelGraph graph;
+  const gpusim::NodeId a =
+      graph.add("viol_a", gpusim::LaunchShape{61, 16, 0, 8}, violating_kernel(0));
+  graph.add("viol_b", gpusim::LaunchShape{47, 16, 0, 8}, violating_kernel(1));
+  graph.add("viol_c", gpusim::LaunchShape{53, 16, 0, 8}, violating_kernel(2), {a});
+
+  for (const std::size_t cap : {std::size_t{3}, std::size_t{1} << 20}) {
+    SCOPED_TRACE(cap);
+    auto audit = [&](int threads, gpusim::GraphExec mode) {
+      ShadowChecker checker(cap);
+      gpusim::Launcher launcher(gpusim::DeviceSpec::tiny(4));
+      launcher.set_threads(threads);
+      launcher.set_audit(&checker);
+      launcher.run(graph, mode);
+      return checker.summary();
+    };
+    const ShadowSummary ref = audit(1, gpusim::GraphExec::Serial);
+    if (cap == 3) {
+      EXPECT_EQ(ref.violations.size(), 3u);
+      EXPECT_GT(ref.dropped_violations, 0u);
+    } else {
+      for (const char* kind : {"uninitialized-read", "write-write-race", "out-of-bounds",
+                               "conflict-mismatch"})
+        EXPECT_GT(count_kind(ref, kind), 0u) << kind;
+      // Uncapped, the list is in (kernel, block) order.
+      EXPECT_EQ(ref.dropped_violations, 0u);
+      EXPECT_EQ(ref.violations.front().block, 1);
+    }
+    for (const int threads : {1, 2, 4, 7})
+      for (const gpusim::GraphExec mode :
+           {gpusim::GraphExec::Serial, gpusim::GraphExec::Overlap}) {
+        SCOPED_TRACE(threads);
+        EXPECT_EQ(audit(threads, mode), ref);
+      }
+  }
+}
+
+TEST(Shadow, CleanMergeSortSummaryIsIndependentOfThreads) {
+  sort::MergeConfig cfg;
+  cfg.e = 3;
+  cfg.u = 16;
+  cfg.variant = sort::Variant::CFMerge;
+  std::vector<int> input(static_cast<std::size_t>(7 * cfg.tile() + 5));
+  for (std::size_t i = 0; i < input.size(); ++i)
+    input[i] = static_cast<int>((i * 2654435761u) % 1009);
+  for (const bool skip : {false, true}) {
+    SCOPED_TRACE(skip ? "certified-skip" : "full");
+    ShadowSummary ref;
+    for (const int threads : {1, 2, 4, 7}) {
+      ShadowChecker checker;
+      gpusim::Launcher launcher(gpusim::DeviceSpec::tiny(8));
+      launcher.set_threads(threads);
+      launcher.set_audit(&checker);
+      launcher.set_audit_skip(skip);
+      std::vector<int> data = input;
+      sort::merge_sort(launcher, data, cfg);
+      ASSERT_TRUE(std::is_sorted(data.begin(), data.end()));
+      const ShadowSummary s = checker.summary();
+      EXPECT_TRUE(s.clean()) << (s.violations.empty() ? "" : s.violations.front().detail);
+      EXPECT_GT(s.shared_accesses, 0u);
+      EXPECT_EQ(s.skipped_accesses > 0, skip);
+      if (threads == 1) {
+        ref = s;
+      } else {
+        EXPECT_EQ(s, ref);
+      }
+    }
+  }
+}
+
+TEST(Shadow, ThrowingKernelCommitsNoAuditState) {
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    ShadowChecker checker;
+    gpusim::Launcher launcher(gpusim::DeviceSpec::tiny(4));
+    launcher.set_threads(threads);
+    launcher.set_audit(&checker);
+    // Prior state the failed launch must leave exactly as it is.
+    launcher.launch("prior", gpusim::LaunchShape{2, 16, 0, 8}, violating_kernel(1));
+    const ShadowSummary before = checker.summary();
+    ASSERT_FALSE(before.clean());
+
+    EXPECT_THROW(
+        launcher.launch("throws", gpusim::LaunchShape{8, 16, 0, 8},
+                        [](gpusim::BlockContext& ctx) {
+                          gpusim::SharedTile<int> tile(ctx, 8);
+                          std::vector<std::int64_t> addrs{0, 1, 2, 3};
+                          std::vector<int> vals(4);
+                          tile.gather(0, addrs, vals);  // uninitialized-read
+                          if (ctx.block_id() == 5) throw std::runtime_error("block 5");
+                        }),
+        std::runtime_error);
+    EXPECT_EQ(checker.summary(), before);
+  }
+}
+
+TEST(Shadow, RecountMatchesSharedAccessCostOracle) {
+  // The naive recount is the independent oracle of shared_access_cost: an
+  // access charged with the hot path's count raises nothing, and one charged
+  // off by one either way raises exactly one conflict-mismatch.
+  std::mt19937_64 rng(0x5eed);
+  ShadowChecker checker(/*max_violations=*/1u << 20);
+  std::size_t expected = 0;
+  auto check = [&](const std::vector<std::int64_t>& addrs, int banks) {
+    const int charged = gpusim::shared_access_cost(addrs, banks).conflicts;
+    for (const int delta : {0, 1, -1}) {
+      checker.on_shared_access(0, 0, 0, "oracle", addrs, /*is_write=*/false, banks,
+                               charged + delta);
+      if (delta != 0) ++expected;
+      ASSERT_EQ(count_kind(checker.summary(), "conflict-mismatch"), expected)
+          << "banks=" << banks << " lanes=" << addrs.size() << " delta=" << delta;
+    }
+  };
+  for (const int banks : {4, 8, 16, 24, 32, 64}) {
+    for (int rep = 0; rep < 40; ++rep) {
+      const int width = rep == 0 ? gpusim::kMaxLanes
+                                 : 1 + static_cast<int>(rng() % gpusim::kMaxLanes);
+      std::vector<std::int64_t> random(static_cast<std::size_t>(width));
+      std::vector<std::int64_t> broadcast(random.size());
+      std::vector<std::int64_t> same_bank(random.size());
+      const auto bank = static_cast<std::int64_t>(rng() % static_cast<unsigned>(banks));
+      const auto word = static_cast<std::int64_t>(rng() % 4096);
+      for (std::size_t l = 0; l < random.size(); ++l) {
+        const bool idle = rng() % 4 == 0;
+        random[l] = idle ? gpusim::kInactiveLane
+                         : static_cast<std::int64_t>(rng() % (4 * static_cast<unsigned>(banks)));
+        broadcast[l] = idle ? gpusim::kInactiveLane : word;
+        // Distinct rows of one bank, with a repeated row now and then.
+        same_bank[l] = idle ? gpusim::kInactiveLane
+                            : bank + banks * static_cast<std::int64_t>(l - l % (1 + rep % 3));
+      }
+      check(random, banks);
+      check(broadcast, banks);
+      check(same_bank, banks);
+    }
+  }
+  EXPECT_EQ(checker.summary().dropped_violations, 0u);
+
+  // A span wider than the recount's fixed buffers is rejected, not overrun.
+  const std::vector<std::int64_t> wide(gpusim::kMaxLanes + 1, 0);
+  EXPECT_THROW(checker.on_shared_access(0, 0, 0, "oracle", wide, false, 32, 0),
+               std::invalid_argument);
+  const std::vector<std::int64_t> one{0};
+  EXPECT_THROW(checker.on_shared_access(0, 0, 0, "oracle", one, false,
+                                        gpusim::kMaxLanes + 1, 0),
+               std::invalid_argument);
+}
+
+TEST(Shadow, DirectHooksForASecondBlockAreRejected) {
+  // A checker's shadow state is one block's; other blocks need a shard.
+  ShadowChecker checker;
+  checker.on_shared_alloc(3, 0, 8);
+  checker.on_barrier(3);
+  EXPECT_THROW(checker.on_barrier(4), std::logic_error);
+  EXPECT_THROW(checker.on_shared_alloc(4, 0, 8), std::logic_error);
+  checker.reset();
+  EXPECT_NO_THROW(checker.on_shared_alloc(4, 0, 8));
 }

@@ -6,7 +6,8 @@
 #   tools/san_check.sh undefined  [build-dir]   (default: build-ubsan)
 #
 # thread    proves the Launcher's worker pool is race-free: builds the
-#           executor tests with ThreadSanitizer and runs them with a parallel
+#           executor tests and the shadow-checker tests (per-block audit
+#           shards, no lock) with ThreadSanitizer and runs them with a parallel
 #           default executor (CFMERGE_SIM_THREADS=4), so every launch in
 #           every test — not just the explicitly parallel ones — exercises
 #           the pool.  TSan aborts on any data race, so a plain pass is the
@@ -28,7 +29,8 @@ MODE="${1:-}"
 case "$MODE" in
   thread)
     DEFAULT_BUILD=build-tsan
-    TARGETS="test_launcher test_merge_sort test_kernel_graph test_segmented_sort"
+    TARGETS="test_launcher test_merge_sort test_kernel_graph test_segmented_sort \
+             test_shadow"
     ;;
   address)
     DEFAULT_BUILD=build-asan
