@@ -38,20 +38,26 @@
 // every acquire a miss, which is what `cfsort --no-plan-cache` uses to
 // show the un-amortized cost.
 //
-// The four free entry points (merge_sort, merge_sort_by_key, batched_merge,
-// segmented_sort) are thin wrappers: one-shot engine use, reports
+// Execution: sort, sort_multiway and permute run one private `execute`
+// step (validate, certify, clear the launcher's history, key + acquire +
+// load the plan, run its graph, copy out, fill the report, release the
+// plan) over plans that share one base, PaddedPlanT; segmented_sort reuses
+// its key/acquire/load step per segment, and one by-key adapter stages
+// both key-value entry points through the scratch arena.
+//
+// The six free entry points (merge_sort, merge_sort_by_key,
+// merge_sort_multiway, merge_sort_multiway_by_key, segmented_sort,
+// batched_merge) are thin wrappers: one-shot engine use, reports
 // bit-identical to the pre-engine implementations (asserted by
 // test_sort_engine across thread counts and GraphExec modes).
 #pragma once
 
 #include <algorithm>
-#include <array>
-#include <cassert>
 #include <cstdint>
-#include <limits>
 #include <memory>
-#include <optional>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
 #include <typeindex>
 #include <utility>
 #include <vector>
@@ -218,27 +224,28 @@ inline std::vector<std::byte> plan_store_key(std::uint64_t device_digest,
   return w.take();
 }
 
-/// A cached single-array sort plan: the enqueued pipeline of
-/// enqueue_sort_pipeline plus the storage its bodies capture.  Plans are
-/// heap-allocated and pinned (no copy/move): the graph's kernel bodies
-/// hold references into buf/tmp/boundaries.
+/// What every padded single-array plan owns: the input buffer (sentinel
+/// padded to n_padded), the ping-pong scratch, the partition boundaries,
+/// the kernel graph whose bodies capture them, and `result`, the buffer
+/// holding the output after the graph ran.  Plans are heap-allocated and
+/// pinned (no copy/move): the graph's kernel bodies hold references into
+/// these buffers.  A derived plan adds its config and enqueues its graph.
 template <typename T>
-struct SortPlanT {
-  MergeConfig cfg;
+struct PaddedPlanT {
   std::int64_t n_padded = 0;
-  int passes = 0;
+  int passes = 0;  ///< global merge passes (0 for a one-kernel plan)
   std::vector<T> buf, tmp;
   std::vector<std::int64_t> boundaries;
-  std::vector<T>* result = nullptr;  ///< buf or tmp, fixed by the pass count
+  std::vector<T>* result = nullptr;  ///< buf or tmp, fixed by the graph
   gpusim::KernelGraph graph;
+  /// The engine hands back the whole padded output, not just the first n.
+  static constexpr bool kReturnsPadded = false;
 
-  SortPlanT(const MergeConfig& c, std::int64_t np) : cfg(c), n_padded(np) {
+  explicit PaddedPlanT(std::int64_t np) : n_padded(np) {
     buf.assign(static_cast<std::size_t>(np), padding_sentinel<T>::value());
-    gpusim::Stream stream = graph.stream();
-    result = enqueue_sort_pipeline(stream, buf, tmp, boundaries, np, cfg, passes);
   }
-  SortPlanT(const SortPlanT&) = delete;
-  SortPlanT& operator=(const SortPlanT&) = delete;
+  PaddedPlanT(const PaddedPlanT&) = delete;
+  PaddedPlanT& operator=(const PaddedPlanT&) = delete;
 
   /// Rebind: load the next input.  The sentinel tail is rewritten because a
   /// previous execution leaves buf holding that run's intermediate data.
@@ -254,68 +261,47 @@ struct SortPlanT {
   }
 };
 
-/// A cached k-way sort plan: enqueue_multiway_pipeline's graph plus the
-/// storage its bodies capture.  Keyed under Kind::Multiway; every knob —
-/// (k, variant) included — lives in config_digest(MultiwayConfig).
+/// A cached single-array sort plan: enqueue_sort_pipeline's graph.
 template <typename T>
-struct MultiwayPlanT {
-  MultiwayConfig cfg;
-  std::int64_t n_padded = 0;
-  int passes = 0;
-  std::vector<T> buf, tmp;
-  std::vector<std::int64_t> boundaries;
-  std::vector<T>* result = nullptr;  ///< buf or tmp, fixed by the pass count
-  gpusim::KernelGraph graph;
+struct SortPlanT : PaddedPlanT<T> {
+  MergeConfig cfg;
 
-  MultiwayPlanT(const MultiwayConfig& c, std::int64_t np, int warp_size)
-      : cfg(c), n_padded(np) {
-    buf.assign(static_cast<std::size_t>(np), padding_sentinel<T>::value());
-    gpusim::Stream stream = graph.stream();
-    result = enqueue_multiway_pipeline(stream, buf, tmp, boundaries, np, cfg, warp_size,
-                                       passes);
-  }
-  MultiwayPlanT(const MultiwayPlanT&) = delete;
-  MultiwayPlanT& operator=(const MultiwayPlanT&) = delete;
-
-  void load(const std::vector<T>& data) {
-    std::copy(data.begin(), data.end(), buf.begin());
-    std::fill(buf.begin() + static_cast<std::ptrdiff_t>(data.size()), buf.end(),
-              padding_sentinel<T>::value());
-  }
-
-  [[nodiscard]] std::uint64_t footprint_bytes() const {
-    return (buf.capacity() + tmp.capacity()) * sizeof(T) +
-           boundaries.capacity() * sizeof(std::int64_t);
+  SortPlanT(const MergeConfig& c, std::int64_t np) : PaddedPlanT<T>(np), cfg(c) {
+    gpusim::Stream stream = this->graph.stream();
+    this->result = enqueue_sort_pipeline(stream, this->buf, this->tmp, this->boundaries, np,
+                                         cfg, this->passes);
   }
 };
 
-/// A cached permute/transpose plan: the one-kernel cfprims pipeline plus
-/// its input and output buffers.  Keyed under Kind::Permute / Transpose;
-/// the (op, inverse) direction bits live in config_digest(PermuteConfig).
+/// A cached k-way sort plan: enqueue_multiway_pipeline's graph.  Keyed
+/// under Kind::Multiway; every knob — (k, variant) included — lives in
+/// config_digest(MultiwayConfig).
 template <typename T>
-struct PermutePlanT {
+struct MultiwayPlanT : PaddedPlanT<T> {
+  MultiwayConfig cfg;
+
+  MultiwayPlanT(const MultiwayConfig& c, std::int64_t np, int warp_size)
+      : PaddedPlanT<T>(np), cfg(c) {
+    gpusim::Stream stream = this->graph.stream();
+    this->result = enqueue_multiway_pipeline(stream, this->buf, this->tmp, this->boundaries,
+                                             np, cfg, warp_size, this->passes);
+  }
+};
+
+/// A cached permute/transpose plan: the one-kernel cfprims pipeline from
+/// buf into tmp.  Keyed under Kind::Permute / Transpose; the (op, inverse)
+/// direction bits live in config_digest(PermuteConfig).
+template <typename T>
+struct PermutePlanT : PaddedPlanT<T> {
   cfprims::PermuteConfig cfg;
-  std::int64_t n_padded = 0;
-  std::vector<T> buf, out;
-  gpusim::KernelGraph graph;
+  static constexpr bool kReturnsPadded = true;
 
-  PermutePlanT(const cfprims::PermuteConfig& c, std::int64_t np) : cfg(c), n_padded(np) {
-    buf.assign(static_cast<std::size_t>(np), padding_sentinel<T>::value());
-    out.assign(static_cast<std::size_t>(np), padding_sentinel<T>::value());
-    gpusim::Stream stream = graph.stream();
-    cfprims::enqueue_permute_pipeline(stream, buf, out, np, cfg);
-  }
-  PermutePlanT(const PermutePlanT&) = delete;
-  PermutePlanT& operator=(const PermutePlanT&) = delete;
-
-  void load(const std::vector<T>& data) {
-    std::copy(data.begin(), data.end(), buf.begin());
-    std::fill(buf.begin() + static_cast<std::ptrdiff_t>(data.size()), buf.end(),
-              padding_sentinel<T>::value());
-  }
-
-  [[nodiscard]] std::uint64_t footprint_bytes() const {
-    return (buf.capacity() + out.capacity()) * sizeof(T);
+  PermutePlanT(const cfprims::PermuteConfig& c, std::int64_t np)
+      : PaddedPlanT<T>(np), cfg(c) {
+    this->tmp.assign(static_cast<std::size_t>(np), padding_sentinel<T>::value());
+    this->result = &this->tmp;
+    gpusim::Stream stream = this->graph.stream();
+    cfprims::enqueue_permute_pipeline(stream, this->buf, this->tmp, np, cfg);
   }
 };
 
@@ -370,8 +356,7 @@ struct BatchedPlanT {
     boundaries.assign(tiles.size(), 0);
 
     // Two graph nodes per pair — partition -> merge, no cross-pair edges —
-    // exactly the free batched_merge's enqueue, with the bodies capturing
-    // plan members instead of stack locals.
+    // whose bodies (batched_merge.hpp) read and write plan members.
     const int regs = cfg.variant == Variant::CFMerge
                          ? cost::cfmerge_regs_per_thread(cfg.e)
                          : cost::baseline_regs_per_thread(cfg.e);
@@ -380,120 +365,23 @@ struct BatchedPlanT {
       const int tcount =
           (p + 1 < as.size() ? pair_tile0[p + 1] : static_cast<int>(tiles.size())) - t0;
 
-      // Stage 1: per-tile co-rank of this pair's tiles (each simulated
-      // thread resolves one tile's start diagonal; the descriptor read is
-      // charged).
       const int pblocks = (tcount + cfg.u - 1) / cfg.u;
       const gpusim::NodeId partition = graph.add(
           "batched_partition", gpusim::LaunchShape{pblocks, cfg.u, 0, 24},
           [this, t0, tcount](gpusim::BlockContext& ctx) {
-            ctx.phase("partition.search");
-            const int w = ctx.lanes();
-            assert(w <= gpusim::kMaxLanes);
-            for (int warp = 0; warp < ctx.warps(); ++warp) {
-              std::array<mergepath::LaneSearch, gpusim::kMaxLanes> lanes{};
-              std::array<const BatchTile*, gpusim::kMaxLanes> desc{};
-              bool any = false;
-              std::array<std::int64_t, gpusim::kMaxLanes> daddr;
-              daddr.fill(gpusim::kInactiveLane);
-              for (int lane = 0; lane < w; ++lane) {
-                const std::int64_t local =
-                    static_cast<std::int64_t>(ctx.block_id()) * cfg.u + warp * w + lane;
-                if (local >= tcount) continue;
-                const std::int64_t t = t0 + local;
-                const auto& bt = tiles[static_cast<std::size_t>(t)];
-                desc[static_cast<std::size_t>(lane)] = &bt;
-                daddr[static_cast<std::size_t>(lane)] =
-                    t * static_cast<std::int64_t>(sizeof(BatchTile));
-                lanes[static_cast<std::size_t>(lane)].init(bt.diag0, bt.ra, bt.rb);
-                any = true;
-              }
-              if (!any) continue;
-              ctx.charge_gmem(
-                  warp,
-                  std::span<const std::int64_t>(daddr.data(), static_cast<std::size_t>(w)),
-                  8, /*dependent=*/true);  // descriptor fetch
-              std::array<std::int64_t, gpusim::kMaxLanes> pa;
-              std::array<std::int64_t, gpusim::kMaxLanes> pb;
-              gpusim::GlobalView<const T> g(ctx, std::span<const T>(staging), 0);
-              auto probe = [&](std::span<const std::int64_t> a_addr, std::span<T> a_val,
-                               std::span<const std::int64_t> b_addr, std::span<T> b_val) {
-                for (int lane = 0; lane < w; ++lane) {
-                  const auto l = static_cast<std::size_t>(lane);
-                  pa[l] = a_addr[l] == gpusim::kInactiveLane || desc[l] == nullptr
-                              ? gpusim::kInactiveLane
-                              : desc[l]->a_base + a_addr[l];
-                  pb[l] = b_addr[l] == gpusim::kInactiveLane || desc[l] == nullptr
-                              ? gpusim::kInactiveLane
-                              : desc[l]->b_base + b_addr[l];
-                }
-                ctx.charge_compute(warp, cost::kSearchIterInstrs);
-                std::array<T, gpusim::kMaxLanes> av{};
-                std::array<T, gpusim::kMaxLanes> bv{};
-                g.gather(warp, std::span<const std::int64_t>(pa.data(), a_val.size()),
-                         std::span<T>(av.data(), a_val.size()), /*dependent=*/true);
-                g.gather(warp, std::span<const std::int64_t>(pb.data(), b_val.size()),
-                         std::span<T>(bv.data(), b_val.size()), /*dependent=*/false);
-                std::copy(av.begin(), av.begin() + static_cast<std::ptrdiff_t>(w),
-                          a_val.begin());
-                std::copy(bv.begin(), bv.begin() + static_cast<std::ptrdiff_t>(w),
-                          b_val.begin());
-              };
-              mergepath::warp_corank_search<T>(
-                  std::span<mergepath::LaneSearch>(lanes.data(),
-                                                   static_cast<std::size_t>(w)),
-                  probe, std::less<T>{});
-              for (int lane = 0; lane < w; ++lane) {
-                const std::int64_t local =
-                    static_cast<std::int64_t>(ctx.block_id()) * cfg.u + warp * w + lane;
-                if (local >= tcount) continue;
-                boundaries[static_cast<std::size_t>(t0 + local)] =
-                    lanes[static_cast<std::size_t>(lane)].lo;
-              }
-            }
+            batched_partition_body<T>(ctx, std::span<const T>(staging),
+                                      std::span<const BatchTile>(tiles), t0, tcount,
+                                      std::span<std::int64_t>(boundaries));
           });
-
-      // Stage 2: one merge block per output tile of this pair.
       graph.add(
           "batched_merge",
           gpusim::LaunchShape{tcount, cfg.u, static_cast<std::size_t>(tile) * sizeof(T),
                               regs},
-          [this, t0, tcount, tile](gpusim::BlockContext& ctx) {
-            const std::int64_t local = ctx.block_id();
-            const auto t = static_cast<std::size_t>(t0 + local);
-            const BatchTile& bt = tiles[t];
-            ctx.phase("merge.load");
-            {
-              // Descriptor + both boundary co-ranks: one small global read.
-              const auto w = static_cast<std::size_t>(ctx.lanes());
-              assert(w <= static_cast<std::size_t>(gpusim::kMaxLanes));
-              std::array<std::int64_t, gpusim::kMaxLanes> addr;
-              addr.fill(gpusim::kInactiveLane);
-              addr[0] = static_cast<std::int64_t>(t);
-              gpusim::GlobalView<const std::int64_t> bv(
-                  ctx, std::span<const std::int64_t>(boundaries), 0);
-              std::array<std::int64_t, gpusim::kMaxLanes> tmp;
-              bv.gather(0, std::span<const std::int64_t>(addr.data(), w),
-                        std::span<std::int64_t>(tmp.data(), w));
-            }
-            const std::int64_t a0 = boundaries[t];
-            const bool last_tile_of_pair = local + 1 == tcount;
-            const std::int64_t diag1 = bt.diag0 + tile;
-            const std::int64_t a1 = last_tile_of_pair && diag1 >= bt.ra + bt.rb
-                                        ? bt.ra
-                                        : boundaries[t + 1];
-            const std::int64_t b0 = bt.diag0 - a0;
-            const std::int64_t la = a1 - a0;
-            const std::int64_t lb = tile - la;
-
-            gpusim::GlobalView<const T> gin(ctx, std::span<const T>(staging), 0);
-            gpusim::GlobalView<T> gout(
-                ctx,
-                std::span<T>(packed).subspan(static_cast<std::size_t>(bt.out_base),
-                                             static_cast<std::size_t>(tile)),
-                bt.out_base);
-            merge_window_core<T>(ctx, gin, gout, bt.a_base + a0, bt.b_base + b0, la, lb,
-                                 cfg, std::less<T>{});
+          [this, t0, tcount](gpusim::BlockContext& ctx) {
+            batched_merge_body<T>(ctx, std::span<const T>(staging), std::span<T>(packed),
+                                  std::span<const BatchTile>(tiles),
+                                  std::span<const std::int64_t>(boundaries), t0, tcount,
+                                  cfg);
           },
           {partition});
     }
@@ -548,37 +436,7 @@ class SortEngine {
   template <typename T>
   SortReport sort(std::vector<T>& data, const MergeConfig& cfg,
                   gpusim::GraphExec mode = gpusim::GraphExec::Overlap) {
-    validate_merge_config(launcher_->device(), cfg);
-    const MergeConfig certified = with_certs(cfg);
-
-    SortReport report;
-    report.n = static_cast<std::int64_t>(data.size());
-    if (report.n == 0) return report;
-
-    const std::int64_t tile = certified.tile();
-    const std::int64_t n_padded = (report.n + tile - 1) / tile * tile;
-    report.n_padded = n_padded;
-
-    const PlanKey key{PlanKey::Kind::Sort, type_digest<T>(), n_padded, 0,
-                      config_digest(certified)};
-    auto plan = acquire_plan<detail::SortPlanT<T>>(key, [&] {
-      return std::make_shared<detail::SortPlanT<T>>(certified, n_padded);
-    });
-    plan->load(data);
-    report.passes = plan->passes;
-
-    launcher_->clear_history();
-    const gpusim::GraphReport g = launcher_->run(plan->graph, mode);
-
-    std::copy(plan->result->begin(), plan->result->begin() + report.n, data.begin());
-    report.kernels = g.kernels;
-    report.microseconds = g.serial_microseconds;
-    report.makespan_microseconds = g.makespan_microseconds;
-    report.graph_levels = g.levels;
-    report.totals = launcher_->total_counters();
-    report.phases = launcher_->phase_counters();
-    cache_plan(key, std::move(plan));
-    return report;
+    return execute<detail::SortPlanT<T>>(PlanKey::Kind::Sort, cfg, data, SortReport{}, mode);
   }
 
   /// merge_sort_multiway through the engine: the k-way pipeline under the
@@ -586,41 +444,8 @@ class SortEngine {
   template <typename T>
   SortReport sort_multiway(std::vector<T>& data, const MultiwayConfig& cfg,
                            gpusim::GraphExec mode = gpusim::GraphExec::Overlap) {
-    validate_multiway_config(launcher_->device(), cfg);
-    MultiwayConfig certified = cfg;
-    certified.certs = resolve_tile_certs(launcher_->device().warp_size, cfg.e);
-
-    SortReport report;
-    report.n = static_cast<std::int64_t>(data.size());
-    if (report.n == 0) return report;
-
-    const std::int64_t tile = cfg.tile();
-    const std::int64_t n_padded = (report.n + tile - 1) / tile * tile;
-    report.n_padded = n_padded;
-
-    // Every multiway knob — (k, variant) included — is folded by the one
-    // uniform config_digest helper; no ad-hoc per-call-site digesting.
-    const PlanKey key{PlanKey::Kind::Multiway, type_digest<T>(), n_padded, 0,
-                      config_digest(cfg)};
-    const int warp_size = launcher_->device().warp_size;
-    auto plan = acquire_plan<detail::MultiwayPlanT<T>>(key, [&] {
-      return std::make_shared<detail::MultiwayPlanT<T>>(certified, n_padded, warp_size);
-    });
-    plan->load(data);
-    report.passes = plan->passes;
-
-    launcher_->clear_history();
-    const gpusim::GraphReport g = launcher_->run(plan->graph, mode);
-
-    std::copy(plan->result->begin(), plan->result->begin() + report.n, data.begin());
-    report.kernels = g.kernels;
-    report.microseconds = g.serial_microseconds;
-    report.makespan_microseconds = g.makespan_microseconds;
-    report.graph_levels = g.levels;
-    report.totals = launcher_->total_counters();
-    report.phases = launcher_->phase_counters();
-    cache_plan(key, std::move(plan));
-    return report;
+    return execute<detail::MultiwayPlanT<T>>(PlanKey::Kind::Multiway, cfg, data, SortReport{},
+                                             mode, launcher_->device().warp_size);
   }
 
   /// Standalone cf_permute / cf_transpose through the engine: one cached
@@ -632,60 +457,14 @@ class SortEngine {
   template <typename T>
   cfprims::PermuteReport permute(std::vector<T>& data, const cfprims::PermuteConfig& cfg,
                                  gpusim::GraphExec mode = gpusim::GraphExec::Overlap) {
-    cfprims::validate_permute_config(launcher_->device(), cfg);
-
     cfprims::PermuteReport report;
     report.op = cfg.op;
     report.inverse = cfg.inverse;
     report.e = cfg.e;
     report.u = cfg.u;
-    report.n = static_cast<std::int64_t>(data.size());
-    if (report.n == 0) return report;
-
-    const std::int64_t tile = cfg.tile();
-    const std::int64_t n_padded = (report.n + tile - 1) / tile * tile;
-    report.n_padded = n_padded;
-
-    // The (op, inverse) direction bits are folded by config_digest — the
-    // same uniform helper every plan kind goes through.
-    const auto kind = cfg.op == cfprims::PermuteOp::kTranspose
-                          ? PlanKey::Kind::Transpose
-                          : PlanKey::Kind::Permute;
-    const PlanKey key{kind, type_digest<T>(), n_padded, 0, config_digest(cfg)};
-    auto plan = acquire_plan<detail::PermutePlanT<T>>(
-        key, [&] { return std::make_shared<detail::PermutePlanT<T>>(cfg, n_padded); });
-    plan->load(data);
-
-    launcher_->clear_history();
-    const gpusim::GraphReport g = launcher_->run(plan->graph, mode);
-
-    data.assign(plan->out.begin(), plan->out.end());
-    report.kernels = g.kernels;
-    report.microseconds = g.serial_microseconds;
-    report.makespan_microseconds = g.makespan_microseconds;
-    report.graph_levels = g.levels;
-    report.totals = launcher_->total_counters();
-    report.phases = launcher_->phase_counters();
-    cache_plan(key, std::move(plan));
-    return report;
-  }
-
-  /// sort_multiway for key-value pairs, arena-staged like sort_by_key.
-  template <typename K, typename V>
-  SortReport sort_multiway_by_key(std::vector<K>& keys, std::vector<V>& values,
-                                  const MultiwayConfig& cfg,
-                                  gpusim::GraphExec mode = gpusim::GraphExec::Overlap) {
-    if (keys.size() != values.size())
-      throw std::invalid_argument("merge_sort_multiway_by_key: keys/values size mismatch");
-    auto lease = arena_.acquire<KeyValue<K, V>>(keys.size());
-    std::vector<KeyValue<K, V>>& pairs = *lease;
-    for (std::size_t i = 0; i < keys.size(); ++i) pairs[i] = {keys[i], values[i]};
-    const SortReport report = sort_multiway(pairs, cfg, mode);
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      keys[i] = pairs[i].key;
-      values[i] = pairs[i].value;
-    }
-    return report;
+    const auto kind = cfg.op == cfprims::PermuteOp::kTranspose ? PlanKey::Kind::Transpose
+                                                                : PlanKey::Kind::Permute;
+    return execute<detail::PermutePlanT<T>>(kind, cfg, data, std::move(report), mode);
   }
 
   /// merge_sort_by_key through the engine: the KeyValue pair buffer comes
@@ -694,17 +473,19 @@ class SortEngine {
   SortReport sort_by_key(std::vector<K>& keys, std::vector<V>& values,
                          const MergeConfig& cfg,
                          gpusim::GraphExec mode = gpusim::GraphExec::Overlap) {
-    if (keys.size() != values.size())
-      throw std::invalid_argument("merge_sort_by_key: keys/values size mismatch");
-    auto lease = arena_.acquire<KeyValue<K, V>>(keys.size());
-    std::vector<KeyValue<K, V>>& pairs = *lease;
-    for (std::size_t i = 0; i < keys.size(); ++i) pairs[i] = {keys[i], values[i]};
-    const SortReport report = sort(pairs, cfg, mode);
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      keys[i] = pairs[i].key;
-      values[i] = pairs[i].value;
-    }
-    return report;
+    return by_key(keys, values, "merge_sort_by_key",
+                  [&](std::vector<KeyValue<K, V>>& pairs) { return sort(pairs, cfg, mode); });
+  }
+
+  /// sort_multiway for key-value pairs, arena-staged like sort_by_key.
+  template <typename K, typename V>
+  SortReport sort_multiway_by_key(std::vector<K>& keys, std::vector<V>& values,
+                                  const MultiwayConfig& cfg,
+                                  gpusim::GraphExec mode = gpusim::GraphExec::Overlap) {
+    return by_key(keys, values, "merge_sort_multiway_by_key",
+                  [&](std::vector<KeyValue<K, V>>& pairs) {
+                    return sort_multiway(pairs, cfg, mode);
+                  });
   }
 
   /// segmented_sort through the engine: every non-empty segment acquires a
@@ -717,18 +498,13 @@ class SortEngine {
                                      gpusim::GraphExec mode = gpusim::GraphExec::Overlap) {
     validate_merge_config(launcher_->device(), cfg);
     const MergeConfig certified = with_certs(cfg);
+    launcher_->clear_history();
 
     SegmentedSortReport report;
     report.segments = static_cast<int>(segments.size());
     report.per_segment.reserve(segments.size());
 
-    struct Held {
-      PlanKey key;
-      std::shared_ptr<detail::SortPlanT<T>> plan;
-    };
-    std::vector<Held> held;
-
-    const std::int64_t tile = cfg.tile();
+    std::vector<Staged<detail::SortPlanT<T>>> held;
     gpusim::KernelGraph graph;
     for (std::vector<T>& seg : segments) {
       SegmentedSortReport::Segment info;
@@ -736,22 +512,15 @@ class SortEngine {
       info.first_kernel = graph.size();
       report.elements += info.n;
       if (info.n > 0) {
-        const std::int64_t n_padded = (info.n + tile - 1) / tile * tile;
-        const PlanKey key{PlanKey::Kind::Sort, type_digest<T>(), n_padded, 0,
-                          config_digest(certified)};
-        auto plan = acquire_plan<detail::SortPlanT<T>>(key, [&] {
-          return std::make_shared<detail::SortPlanT<T>>(certified, n_padded);
-        });
-        plan->load(seg);
-        info.passes = plan->passes;
-        graph.append(plan->graph);
+        auto staged = stage<detail::SortPlanT<T>>(PlanKey::Kind::Sort, certified, seg);
+        info.passes = staged.plan->passes;
+        graph.append(staged.plan->graph);
         info.kernel_count = graph.size() - info.first_kernel;
-        held.push_back({key, std::move(plan)});
+        held.push_back(std::move(staged));
       }
       report.per_segment.push_back(info);
     }
 
-    launcher_->clear_history();
     const gpusim::GraphReport g = launcher_->run(graph, mode);
 
     std::size_t si = 0;
@@ -762,14 +531,8 @@ class SortEngine {
                 plan.result->begin() + static_cast<std::ptrdiff_t>(seg.size()),
                 seg.begin());
     }
-
-    report.serial_microseconds = g.serial_microseconds;
-    report.makespan_microseconds = g.makespan_microseconds;
-    report.graph_levels = g.levels;
-    report.kernels = g.kernels;
-    report.totals = launcher_->total_counters();
-    report.phases = launcher_->phase_counters();
-    for (Held& h : held) cache_plan(h.key, std::move(h.plan));
+    fill_graph_report(report, g);
+    for (auto& h : held) cache_plan(h.key, std::move(h.plan));
     return report;
   }
 
@@ -786,6 +549,7 @@ class SortEngine {
       throw std::invalid_argument("batched_merge: pair count mismatch");
     validate_merge_config(launcher_->device(), cfg);
     const MergeConfig certified = with_certs(cfg);
+    launcher_->clear_history();
 
     BatchedMergeReport report;
     report.pairs = static_cast<int>(as.size());
@@ -806,16 +570,10 @@ class SortEngine {
     plan->load(as, bs);
     report.elements = plan->elements;
 
-    launcher_->clear_history();
     const gpusim::GraphReport g = launcher_->run(plan->graph, mode);
 
     plan->unpack(outs);
-    report.microseconds = g.serial_microseconds;
-    report.makespan_microseconds = g.makespan_microseconds;
-    report.graph_levels = g.levels;
-    report.kernels = g.kernels;
-    report.totals = launcher_->total_counters();
-    report.phases = launcher_->phase_counters();
+    fill_graph_report(report, g);
     cache_plan(key, std::move(plan));
     return report;
   }
@@ -858,14 +616,108 @@ class SortEngine {
     std::uint64_t released_at = 0;
   };
 
+  /// An acquired plan and the key it returns to the cache under.
+  template <typename Plan>
+  struct Staged {
+    PlanKey key;
+    std::shared_ptr<Plan> plan;
+  };
+
   /// Copies `cfg` with the conflict-freedom certificate bundle for the
   /// launcher's warp width resolved in (memoized process-wide; a few
   /// symbolic proofs on the first call per (w, E)).  PlanKey equality
-  /// ignores the bundle — it is a pure function of (warp_size, e).
-  [[nodiscard]] MergeConfig with_certs(const MergeConfig& cfg) const {
-    MergeConfig out = cfg;
-    out.certs = resolve_tile_certs(launcher_->device().warp_size, cfg.e);
-    return out;
+  /// ignores the bundle — it is a pure function of (warp_size, e).  Configs
+  /// without a bundle (permute) pass through unchanged.
+  template <typename Cfg>
+  [[nodiscard]] Cfg with_certs(Cfg cfg) const {
+    if constexpr (requires { cfg.certs; })
+      cfg.certs = resolve_tile_certs(launcher_->device().warp_size, cfg.e);
+    return cfg;
+  }
+
+  /// The key/acquire/load step shared by execute and segmented_sort: pads
+  /// |data| to the tile, keys the plan on (kind, T, n_padded, the config
+  /// digest), takes an idle instance or builds one from (certified,
+  /// n_padded, extra...), and loads `data` into it.
+  template <typename Plan, typename T, typename Cfg, typename... Extra>
+  Staged<Plan> stage(PlanKey::Kind kind, const Cfg& certified, const std::vector<T>& data,
+                     Extra... extra) {
+    const std::int64_t tile = certified.tile();
+    const std::int64_t n_padded =
+        (static_cast<std::int64_t>(data.size()) + tile - 1) / tile * tile;
+    const PlanKey key{kind, type_digest<T>(), n_padded, 0, config_digest(certified)};
+    auto plan = acquire_plan<Plan>(
+        key, [&] { return std::make_shared<Plan>(certified, n_padded, extra...); });
+    plan->load(data);
+    return {key, std::move(plan)};
+  }
+
+  /// The one execution path of the padded single-array entry points
+  /// (sort, sort_multiway, permute): validate → certify → clear the
+  /// launcher's history → stage → run → copy out → report → release the
+  /// plan.  Empty input stops after the history clear and touches no plan.
+  template <typename Plan, typename T, typename Cfg, typename Report, typename... Extra>
+  Report execute(PlanKey::Kind kind, const Cfg& cfg, std::vector<T>& data, Report report,
+                 gpusim::GraphExec mode, Extra... extra) {
+    if constexpr (std::is_same_v<Cfg, MultiwayConfig>) {
+      validate_multiway_config(launcher_->device(), cfg);
+    } else if constexpr (std::is_same_v<Cfg, MergeConfig>) {
+      validate_merge_config(launcher_->device(), cfg);
+    } else {
+      cfprims::validate_permute_config(launcher_->device(), cfg);
+    }
+    const Cfg certified = with_certs(cfg);
+    launcher_->clear_history();
+
+    report.n = static_cast<std::int64_t>(data.size());
+    if (report.n == 0) return report;
+
+    auto staged = stage<Plan>(kind, certified, data, extra...);
+    const Plan& plan = *staged.plan;
+    report.n_padded = plan.n_padded;
+    if constexpr (requires { report.passes; }) report.passes = plan.passes;
+
+    const gpusim::GraphReport g = launcher_->run(plan.graph, mode);
+
+    const std::int64_t keep = Plan::kReturnsPadded ? plan.n_padded : report.n;
+    data.assign(plan.result->begin(), plan.result->begin() + keep);
+    fill_graph_report(report, g);
+    cache_plan(staged.key, std::move(staged.plan));
+    return report;
+  }
+
+  /// The graph-run fields every engine report carries, from the run's
+  /// GraphReport and the launcher's (freshly cleared) history.
+  template <typename Report>
+  void fill_graph_report(Report& report, const gpusim::GraphReport& g) const {
+    report.kernels = g.kernels;
+    if constexpr (requires { report.serial_microseconds; }) {
+      report.serial_microseconds = g.serial_microseconds;
+    } else {
+      report.microseconds = g.serial_microseconds;
+    }
+    report.makespan_microseconds = g.makespan_microseconds;
+    report.graph_levels = g.levels;
+    report.totals = launcher_->total_counters();
+    report.phases = launcher_->phase_counters();
+  }
+
+  /// The key-value adapter: zips (keys, values) into an arena-leased
+  /// KeyValue buffer, sorts it with `sort_pairs`, and unzips the result.
+  template <typename K, typename V, typename SortPairs>
+  SortReport by_key(std::vector<K>& keys, std::vector<V>& values, const char* entry,
+                    SortPairs&& sort_pairs) {
+    if (keys.size() != values.size())
+      throw std::invalid_argument(std::string(entry) + ": keys/values size mismatch");
+    auto lease = arena_.acquire<KeyValue<K, V>>(keys.size());
+    std::vector<KeyValue<K, V>>& pairs = *lease;
+    for (std::size_t i = 0; i < keys.size(); ++i) pairs[i] = {keys[i], values[i]};
+    const SortReport report = sort_pairs(pairs);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      keys[i] = pairs[i].key;
+      values[i] = pairs[i].value;
+    }
+    return report;
   }
 
   template <typename Plan, typename Build>

@@ -35,12 +35,14 @@ struct MergeReport {
 /// Merges sorted `a` and sorted `b` into `out` (resized to |a| + |b|).
 /// Arbitrary lengths are supported: the concatenated input is padded to a
 /// tile multiple with +infinity sentinels, which join the merged tail and
-/// are dropped.  `launcher.history()` holds the launched kernels.
+/// are dropped.  `launcher.history()` is cleared and then holds the
+/// launched kernels (none for two empty inputs).
 template <typename T>
 MergeReport merge_arrays(gpusim::Launcher& launcher, const std::vector<T>& a,
                          const std::vector<T>& b, std::vector<T>& out,
                          const MergeConfig& cfg) {
   validate_merge_config(launcher.device(), cfg);
+  launcher.clear_history();
 
   MergeReport report;
   report.na = static_cast<std::int64_t>(a.size());
@@ -48,8 +50,6 @@ MergeReport merge_arrays(gpusim::Launcher& launcher, const std::vector<T>& a,
   const std::int64_t n = report.na + report.nb;
   out.resize(static_cast<std::size_t>(n));
   if (n == 0) return report;
-
-  launcher.clear_history();
 
   // Stage the pair as [A | pad(A) | B | pad(B)] so each padded list is a
   // full "run": run = max padded list length, geometry n = 2 * run.

@@ -96,6 +96,39 @@ struct PassGeometry {
   }
 };
 
+/// One warp's Merge Path co-rank search in global memory (Green et al.):
+/// lane l resolves `lanes[l]` over the A list starting at element
+/// `abase[l]` of `global` and the B list starting at `bbase[l]`.  Each
+/// lockstep iteration charges the search instructions and two dependent
+/// gathers; lanes left at LaneSearch{} probe kInactiveLane and are masked.
+/// Shared by the sort's partition kernel and the batched one.
+template <typename T, typename Cmp>
+void warp_global_corank(gpusim::BlockContext& ctx, int warp,
+                        gpusim::GlobalView<const T>& global,
+                        std::span<mergepath::LaneSearch> lanes,
+                        std::span<const std::int64_t> abase,
+                        std::span<const std::int64_t> bbase, Cmp cmp) {
+  const std::size_t w = lanes.size();
+  assert(w <= static_cast<std::size_t>(gpusim::kMaxLanes));
+  std::array<std::int64_t, gpusim::kMaxLanes> pa;
+  std::array<std::int64_t, gpusim::kMaxLanes> pb;
+  auto probe = [&](std::span<const std::int64_t> a_addr, std::span<T> a_val,
+                   std::span<const std::int64_t> b_addr, std::span<T> b_val) {
+    for (std::size_t l = 0; l < w; ++l) {
+      pa[l] = a_addr[l] == gpusim::kInactiveLane ? gpusim::kInactiveLane
+                                                 : abase[l] + a_addr[l];
+      pb[l] = b_addr[l] == gpusim::kInactiveLane ? gpusim::kInactiveLane
+                                                 : bbase[l] + b_addr[l];
+    }
+    ctx.charge_compute(warp, cost::kSearchIterInstrs);
+    global.gather(warp, std::span<const std::int64_t>(pa.data(), w), a_val,
+                  /*dependent=*/true);
+    global.gather(warp, std::span<const std::int64_t>(pb.data(), w), b_val,
+                  /*dependent=*/false);
+  };
+  mergepath::warp_corank_search<T>(lanes, probe, cmp);
+}
+
 /// Stage 1: partition kernel.  Computes co-ranks for every tile boundary.
 /// `boundaries[t]` receives the co-rank (number of A-elements) of output
 /// diagonal t*tile within its pair.  One simulated thread per boundary.
@@ -113,8 +146,7 @@ void merge_partition_body(gpusim::BlockContext& ctx, std::span<const T> input,
   std::array<mergepath::LaneSearch, gpusim::kMaxLanes> lanes;
   std::array<std::int64_t, gpusim::kMaxLanes> abase;
   std::array<std::int64_t, gpusim::kMaxLanes> bbase;
-  std::array<std::int64_t, gpusim::kMaxLanes> pa;
-  std::array<std::int64_t, gpusim::kMaxLanes> pb;
+  const auto lw = static_cast<std::size_t>(w);
   for (int warp = 0; warp < ctx.warps(); ++warp) {
     bool any = false;
     for (int lane = 0; lane < w; ++lane) {
@@ -136,24 +168,10 @@ void merge_partition_body(gpusim::BlockContext& ctx, std::span<const T> input,
       any = true;
     }
     if (!any) continue;
-    auto probe = [&](std::span<const std::int64_t> a_addr, std::span<T> a_val,
-                     std::span<const std::int64_t> b_addr, std::span<T> b_val) {
-      for (int lane = 0; lane < w; ++lane) {
-        const auto l = static_cast<std::size_t>(lane);
-        pa[l] = a_addr[l] == gpusim::kInactiveLane ? gpusim::kInactiveLane
-                                                   : abase[l] + a_addr[l];
-        pb[l] = b_addr[l] == gpusim::kInactiveLane ? gpusim::kInactiveLane
-                                                   : bbase[l] + b_addr[l];
-      }
-      ctx.charge_compute(warp, cost::kSearchIterInstrs);
-      global.gather(warp, std::span<const std::int64_t>(pa.data(), a_val.size()), a_val,
-                    /*dependent=*/true);
-      global.gather(warp, std::span<const std::int64_t>(pb.data(), b_val.size()), b_val,
-                    /*dependent=*/false);
-    };
-    mergepath::warp_corank_search<T>(
-        std::span<mergepath::LaneSearch>(lanes.data(), static_cast<std::size_t>(w)),
-        probe, cmp);
+    warp_global_corank<T>(ctx, warp, global,
+                          std::span<mergepath::LaneSearch>(lanes.data(), lw),
+                          std::span<const std::int64_t>(abase.data(), lw),
+                          std::span<const std::int64_t>(bbase.data(), lw), cmp);
     for (int lane = 0; lane < w; ++lane) {
       const std::int64_t t =
           static_cast<std::int64_t>(ctx.block_id()) * u + warp * w + lane;

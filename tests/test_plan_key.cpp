@@ -13,6 +13,7 @@
 
 #include "cache/serial.hpp"
 #include "gpusim/device_spec.hpp"
+#include "sort/certs.hpp"
 #include "sort/key_value.hpp"
 
 using namespace cfmerge;
@@ -224,6 +225,23 @@ TEST(PlanKey, ConfigDigestTagsKeepConfigTypesDisjoint) {
   const std::set<std::uint64_t> digests = {config_digest(m), config_digest(mw),
                                            config_digest(p)};
   EXPECT_EQ(digests.size(), 3u);
+}
+
+TEST(PlanKey, ConfigDigestIgnoresResolvedCerts) {
+  // The engine keys every plan on its certified config; the certificate
+  // bundle is a pure function of (w, e), so resolving it must not move the
+  // digest — otherwise a certified and an uncertified key would split the
+  // cache.
+  MergeConfig m;
+  MultiwayConfig mw;
+  const std::uint64_t m_plain = config_digest(m);
+  const std::uint64_t mw_plain = config_digest(mw);
+  m.certs = resolve_tile_certs(32, m.e);
+  mw.certs = resolve_tile_certs(32, mw.e);
+  ASSERT_TRUE(m.certs.any());
+  ASSERT_TRUE(mw.certs.any());
+  EXPECT_EQ(config_digest(m), m_plain);
+  EXPECT_EQ(config_digest(mw), mw_plain);
 }
 
 TEST(PlanKey, SerializeDeserializeRoundTrips) {

@@ -14,6 +14,7 @@
 
 #include "cache/store.hpp"
 #include "gpusim/launcher.hpp"
+#include "sort/merge_arrays.hpp"
 
 using namespace cfmerge;
 using namespace cfmerge::gpusim;
@@ -364,6 +365,118 @@ TEST(SortEngine, EmptyAndMismatchedInputsShortCircuit) {
   const sort::EngineStats es = engine.stats();
   EXPECT_EQ(es.plan_misses, 0u);
   EXPECT_EQ(es.plan_hits, 0u);
+}
+
+TEST(SortEngine, EmptyCallClearsHistoryOnEveryEntryPoint) {
+  // Every entry point clears the launcher's history, empty input included:
+  // after a non-empty call, an empty call leaves no kernels, zero counters,
+  // and the plan cache untouched.
+  Launcher launcher(DeviceSpec::tiny(8));
+  sort::SortEngine engine(launcher);
+  const auto cfg = tiny_cfg();
+  sort::MultiwayConfig mw;
+  mw.e = 5;
+  mw.u = 16;
+  mw.k = 4;
+  cfprims::PermuteConfig pc;
+  pc.e = 5;
+  pc.u = 16;
+  const auto input = random_vec(16 * 5 * 3, 60);
+
+  const auto check = [&](const char* entry, const auto& full_call, const auto& empty_call) {
+    SCOPED_TRACE(entry);
+    full_call();
+    ASSERT_FALSE(launcher.history().empty());
+    const sort::EngineStats before = engine.stats();
+    empty_call();
+    EXPECT_TRUE(launcher.history().empty());
+    EXPECT_EQ(launcher.total_counters(), Counters{});
+    const sort::EngineStats after = engine.stats();
+    EXPECT_EQ(after.plan_hits, before.plan_hits);
+    EXPECT_EQ(after.plan_misses, before.plan_misses);
+    EXPECT_EQ(after.plans_cached, before.plans_cached);
+  };
+  std::vector<int> data, keys, values, empty_keys, empty_values;
+  check(
+      "sort", [&] { data = input; engine.sort(data, cfg); },
+      [&] {
+        data.clear();
+        engine.sort(data, cfg);
+      });
+  check(
+      "sort_by_key",
+      [&] {
+        keys = input;
+        values = input;
+        engine.sort_by_key(keys, values, cfg);
+      },
+      [&] { engine.sort_by_key(empty_keys, empty_values, cfg); });
+  check(
+      "sort_multiway", [&] { data = input; engine.sort_multiway(data, mw); },
+      [&] {
+        data.clear();
+        engine.sort_multiway(data, mw);
+      });
+  check(
+      "sort_multiway_by_key",
+      [&] {
+        keys = input;
+        values = input;
+        engine.sort_multiway_by_key(keys, values, mw);
+      },
+      [&] { engine.sort_multiway_by_key(empty_keys, empty_values, mw); });
+  check(
+      "permute", [&] { data = input; engine.permute(data, pc); },
+      [&] {
+        data.clear();
+        engine.permute(data, pc);
+      });
+  check(
+      "segmented_sort",
+      [&] {
+        std::vector<std::vector<int>> segs = {input};
+        engine.segmented_sort(segs, cfg);
+      },
+      [&] {
+        std::vector<std::vector<int>> segs;
+        engine.segmented_sort(segs, cfg);
+      });
+  check(
+      "batched_merge",
+      [&] {
+        std::vector<std::vector<int>> as = {{1, 3}}, bs = {{2}}, outs;
+        engine.batched_merge(as, bs, outs, cfg);
+      },
+      [&] {
+        std::vector<std::vector<int>> none, outs;
+        engine.batched_merge(none, none, outs, cfg);
+      });
+  check(
+      "merge_arrays",
+      [&] {
+        const std::vector<int> a = {1, 3}, b = {2};
+        sort::merge_arrays(launcher, a, b, data, cfg);
+      },
+      [&] {
+        const std::vector<int> none;
+        sort::merge_arrays(launcher, none, none, data, cfg);
+      });
+}
+
+TEST(SortEngine, SortAndOneSegmentSegmentedSortShareAPlan) {
+  // sort and segmented_sort derive the same key for the same padded
+  // length, so a one-segment batch replays the plan the sort released.
+  Launcher launcher(DeviceSpec::tiny(8));
+  sort::SortEngine engine(launcher);
+  const auto cfg = tiny_cfg();
+  auto data = random_vec(16 * 5 * 3, 61);
+  engine.sort(data, cfg);
+  std::vector<std::vector<int>> segs = {random_vec(16 * 5 * 3 - 4, 62)};
+  engine.segmented_sort(segs, cfg);
+  EXPECT_TRUE(std::is_sorted(segs[0].begin(), segs[0].end()));
+  const sort::EngineStats es = engine.stats();
+  EXPECT_EQ(es.plan_misses, 1u);
+  EXPECT_EQ(es.plan_hits, 1u);
 }
 
 TEST(SortEngine, PersistentStoreWarmStartsAColdProcess) {
