@@ -18,6 +18,7 @@
 // The simulated numbers are independent of --threads and of the host
 // execution mode by construction; only wall-clock changes.
 #include <chrono>
+#include <cinttypes>
 #include <cstdio>
 #include <iostream>
 #include <random>
@@ -97,7 +98,7 @@ int main(int argc, char** argv) {
   int threads = 0;
   for (int i = 1; i < argc; ++i) {
     std::sscanf(argv[i], "--segments=%d", &max_segments);
-    std::sscanf(argv[i], "--n=%lld", &total);
+    std::sscanf(argv[i], "--n=%" SCNd64, &total);
     std::sscanf(argv[i], "--threads=%d", &threads);
   }
 

@@ -226,12 +226,12 @@ GraphReport Launcher::run(const KernelGraph& graph, GraphExec mode) {
     out.kernels.push_back(std::move(report));
   }
 
-  // Commit: merge traces and audit shards and append history in enqueue
-  // order — the event stream, audit summary and history are identical to
-  // serial launch-by-launch execution.
-  for (const std::vector<BlockOutcome>& node_outcomes : outcomes)
-    for (const BlockOutcome& b : node_outcomes) {
-      if (b.trace != nullptr) trace_->merge_from(*b.trace);
+  // Commit: move per-block traces into the sink, fold audit shards and
+  // append history in enqueue order — the event stream, audit summary and
+  // history are identical to serial launch-by-launch execution.
+  for (std::vector<BlockOutcome>& node_outcomes : outcomes)
+    for (BlockOutcome& b : node_outcomes) {
+      if (b.trace != nullptr) trace_->merge_from(std::move(*b.trace));
       if (b.audit != nullptr) audit_->merge_from(*b.audit);
       bulk_charges_ += b.bulk_charges;
       lane_charges_ += b.lane_charges;

@@ -18,10 +18,11 @@
 // Determinism contract per stateful component:
 //  * PhaseCounters / dependency chains: always per-block, reduced in block
 //    order (phase name order is first-use order across ascending block ids).
-//  * TraceSink: blocks record into private per-block sinks that are merged
-//    into the attached sink in block order after all blocks finish — the
-//    event stream is identical to sequential recording, and a throwing
-//    kernel leaves the attached sink untouched.
+//  * TraceSink: blocks record into private per-block sinks that are moved
+//    into the attached sink in block order after all blocks finish (their
+//    address segments change owner; nothing is copied) — the event stream
+//    is identical to sequential recording, and a throwing kernel leaves the
+//    attached sink untouched.
 //  * MemoryAuditor: blocks record into private shards (block_shard) that are
 //    folded into the attached auditor in block order after all blocks
 //    finish — violations, their cap and the drop count are identical to

@@ -1,6 +1,7 @@
 #include "gpusim/trace.hpp"
 
 #include <cassert>
+#include <iterator>
 #include <ostream>
 #include <stdexcept>
 
@@ -35,47 +36,39 @@ void TraceSink::record(std::int32_t block, std::int16_t warp, AccessKind kind,
 void TraceSink::record(std::int32_t block, std::int16_t warp, AccessKind kind,
                        std::int16_t phase, std::span<const std::int64_t> addrs, int cost) {
   assert(phase >= 0 && static_cast<std::size_t>(phase) < phases_.size());
+  if (segments_.empty()) segments_.emplace_back();
+  std::vector<std::int64_t>& seg = segments_.back();
   TraceEvent e;
   e.block = block;
   e.warp = warp;
   e.kind = kind;
   e.phase_id = phase;
-  e.cost = cost;
-  e.first_addr = static_cast<std::uint32_t>(pool_.size());
   e.lanes = static_cast<std::uint16_t>(addrs.size());
-  pool_.insert(pool_.end(), addrs.begin(), addrs.end());
+  e.cost = cost;
+  e.segment = static_cast<std::uint32_t>(segments_.size() - 1);
+  e.first_addr = static_cast<std::uint32_t>(seg.size());
+  seg.insert(seg.end(), addrs.begin(), addrs.end());
   events_.push_back(e);
 }
 
-void TraceSink::reserve(std::size_t events, std::size_t pool_elems) {
-  events_.reserve(events);
-  pool_.reserve(pool_elems);
-}
-
-void TraceSink::merge_from(const TraceSink& other) {
+void TraceSink::merge_from(TraceSink&& other) {
   std::vector<std::int16_t> phase_map(other.phases_.size());
   for (std::size_t i = 0; i < other.phases_.size(); ++i)
     phase_map[i] = phase_id(other.phases_[i]);
-  // Grow geometrically: an exact-fit reserve here would force a full
-  // realloc + copy on every per-block merge (quadratic over a launch).
-  const auto grow = [](auto& v, std::size_t extra) {
-    const std::size_t need = v.size() + extra;
-    if (need > v.capacity()) v.reserve(std::max(need, 2 * v.capacity()));
-  };
-  const auto base = static_cast<std::uint32_t>(pool_.size());
-  grow(pool_, other.pool_.size());
-  pool_.insert(pool_.end(), other.pool_.begin(), other.pool_.end());
-  grow(events_, other.events_.size());
+  const auto base = static_cast<std::uint32_t>(segments_.size());
+  segments_.insert(segments_.end(), std::make_move_iterator(other.segments_.begin()),
+                   std::make_move_iterator(other.segments_.end()));
   for (TraceEvent e : other.events_) {
     e.phase_id = phase_map[static_cast<std::size_t>(e.phase_id)];
-    e.first_addr += base;
+    e.segment += base;
     events_.push_back(e);
   }
+  other.clear();
 }
 
 void TraceSink::clear() {
   events_.clear();
-  pool_.clear();
+  segments_.clear();
   phases_.clear();
 }
 

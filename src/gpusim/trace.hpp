@@ -7,6 +7,11 @@
 //
 // Tracing is off by default (the simulator stays fast); attach a TraceSink
 // to a Launcher and every BlockContext it creates records into it.
+//
+// Storage: one flat event index plus lane-address *segments*.  Recording
+// appends to the sink's last segment; merge_from(TraceSink&&) takes over
+// the other sink's segments whole, so the launcher's block-ordered commit
+// of per-block sinks moves address buffers instead of copying them.
 #pragma once
 
 #include <cstdint>
@@ -26,9 +31,10 @@ struct TraceEvent {
   std::int16_t warp = 0;
   AccessKind kind = AccessKind::SharedRead;
   std::int16_t phase_id = 0;     ///< index into TraceSink::phase_names()
-  std::int32_t cost = 0;         ///< conflicts (shared) or transactions (global)
-  std::uint32_t first_addr = 0;  ///< offset of the lane addresses in the pool
   std::uint16_t lanes = 0;       ///< number of lanes recorded
+  std::int32_t cost = 0;         ///< conflicts (shared) or transactions (global)
+  std::uint32_t segment = 0;     ///< address segment holding the lane addresses
+  std::uint32_t first_addr = 0;  ///< offset of the lane addresses in that segment
 };
 
 class TraceSink {
@@ -45,23 +51,21 @@ class TraceSink {
   /// Id of `phase` in phase_names(), appending it on first use.
   std::int16_t intern_phase(std::string_view phase) { return phase_id(phase); }
 
-  /// Pre-sizes the flat event/address buffers (events and pooled lane
-  /// addresses respectively) so recording never reallocates mid-kernel.
-  void reserve(std::size_t events, std::size_t pool_elems);
-
   [[nodiscard]] const std::vector<TraceEvent>& events() const { return events_; }
   [[nodiscard]] const std::vector<std::string>& phase_names() const { return phases_; }
   [[nodiscard]] std::span<const std::int64_t> addresses(const TraceEvent& e) const {
-    return std::span<const std::int64_t>(pool_).subspan(e.first_addr, e.lanes);
+    return std::span<const std::int64_t>(segments_[e.segment]).subspan(e.first_addr, e.lanes);
   }
   [[nodiscard]] std::size_t size() const { return events_.size(); }
   void clear();
 
-  /// Appends every event of `other`, remapping phase ids and address-pool
-  /// offsets.  Used by the parallel launcher to reduce per-block sinks in
-  /// block order; the result is identical to recording the same accesses
-  /// directly in that order.
-  void merge_from(const TraceSink& other);
+  /// Appends every event of `other` (another sink), remapping phase ids,
+  /// and takes ownership of its address segments (no address is copied);
+  /// `other` is left empty.  Spans from addresses() stay valid across the
+  /// merge, for events of either sink.  Used by the parallel launcher to
+  /// commit per-block sinks in block order; the result is identical to
+  /// recording the same accesses directly in that order.
+  void merge_from(TraceSink&& other);
 
   /// Total recorded conflicts in shared accesses of a phase ("" = all).
   [[nodiscard]] std::int64_t shared_conflicts(std::string_view phase = {}) const;
@@ -73,7 +77,7 @@ class TraceSink {
   std::int16_t phase_id(std::string_view phase);
 
   std::vector<TraceEvent> events_;
-  std::vector<std::int64_t> pool_;
+  std::vector<std::vector<std::int64_t>> segments_;
   std::vector<std::string> phases_;
 };
 

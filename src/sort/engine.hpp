@@ -39,11 +39,13 @@
 // show the un-amortized cost.
 //
 // Execution: sort, sort_multiway and permute run one private `execute`
-// step (validate, certify, clear the launcher's history, key + acquire +
-// load the plan, run its graph, copy out, fill the report, release the
-// plan) over plans that share one base, PaddedPlanT; segmented_sort reuses
-// its key/acquire/load step per segment, and one by-key adapter stages
-// both key-value entry points through the scratch arena.
+// step (clear the launcher's history, validate — for sort_multiway that
+// includes rejecting a block that does not fit on an SM — certify, key +
+// acquire + load the plan, run its graph, copy out, fill the report,
+// release the plan) over plans that share one base, PaddedPlanT;
+// segmented_sort reuses its key/acquire/load step per segment, and one
+// by-key adapter stages both key-value entry points through the scratch
+// arena.
 //
 // The six free entry points (merge_sort, merge_sort_by_key,
 // merge_sort_multiway, merge_sort_multiway_by_key, segmented_sort,
@@ -653,21 +655,22 @@ class SortEngine {
   }
 
   /// The one execution path of the padded single-array entry points
-  /// (sort, sort_multiway, permute): validate → certify → clear the
-  /// launcher's history → stage → run → copy out → report → release the
+  /// (sort, sort_multiway, permute): clear the launcher's history →
+  /// validate → certify → stage → run → copy out → report → release the
   /// plan.  Empty input stops after the history clear and touches no plan.
   template <typename Plan, typename T, typename Cfg, typename Report, typename... Extra>
   Report execute(PlanKey::Kind kind, const Cfg& cfg, std::vector<T>& data, Report report,
                  gpusim::GraphExec mode, Extra... extra) {
+    launcher_->clear_history();
     if constexpr (std::is_same_v<Cfg, MultiwayConfig>) {
       validate_multiway_config(launcher_->device(), cfg);
+      detail::require_multiway_fits<T>(launcher_->device(), cfg);
     } else if constexpr (std::is_same_v<Cfg, MergeConfig>) {
       validate_merge_config(launcher_->device(), cfg);
     } else {
       cfprims::validate_permute_config(launcher_->device(), cfg);
     }
     const Cfg certified = with_certs(cfg);
-    launcher_->clear_history();
 
     report.n = static_cast<std::int64_t>(data.size());
     if (report.n == 0) return report;

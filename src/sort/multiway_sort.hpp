@@ -10,14 +10,48 @@
 // boundaries scratch is a flat (num_tiles+1) x k co-rank table per pass.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "gpusim/launcher.hpp"
+#include "gpusim/occupancy.hpp"
 #include "sort/block_sort.hpp"
 #include "sort/multiway_pass.hpp"
 
 namespace cfmerge::sort::detail {
+
+/// Shared bytes of one multiway_merge block: the CFCascade's two stage
+/// buffers (their capacity depends on the warp size), or one tile for the
+/// LoserTree baseline.
+template <typename T>
+std::size_t multiway_merge_shared_bytes(const MultiwayConfig& cfg, int warp_size) {
+  const std::int64_t slots =
+      cfg.variant == MultiwayVariant::CFCascade
+          ? 2 * gather::CascadePlan::capacity(cfg.tile(), warp_size, cfg.e, cfg.k)
+          : cfg.tile();
+  return static_cast<std::size_t>(slots) * sizeof(T);
+}
+
+/// Rejects a k-way configuration whose blocks do not fit on one SM of
+/// `dev`, before any kernel runs (the timing model would only find out
+/// after simulating the whole graph).
+template <typename T>
+void require_multiway_fits(const gpusim::DeviceSpec& dev, const MultiwayConfig& cfg) {
+  const std::size_t sort_bytes =
+      static_cast<std::size_t>(cfg.tile()) * sizeof(T) * (cfg.cf_blocksort ? 2 : 1);
+  const std::size_t bytes =
+      std::max(sort_bytes, multiway_merge_shared_bytes<T>(cfg, dev.warp_size));
+  const int regs = cost::multiway_regs_per_thread(cfg.e, cfg.k);
+  if (gpusim::compute_occupancy(dev, cfg.u, bytes, regs).blocks_per_sm == 0)
+    throw std::invalid_argument(
+        "sort_multiway: a k=" + std::to_string(cfg.k) + ", u=" + std::to_string(cfg.u) +
+        " block needs " + std::to_string(bytes) + " shared bytes and " +
+        std::to_string(regs) + " registers per thread and does not fit on an SM (" +
+        std::to_string(dev.shared_bytes_per_sm) + " shared bytes per SM); lower u");
+}
 
 /// Enqueues the k-way sort pipeline for one padded buffer onto `stream`
 /// (the multiway counterpart of enqueue_sort_pipeline).  `warp_size` fixes
@@ -50,12 +84,7 @@ std::vector<T>* enqueue_multiway_pipeline(gpusim::Stream& stream, std::vector<T>
   }
 
   // --- stage 2: k-way merge passes -----------------------------------------
-  const std::size_t mshared =
-      cfg.variant == MultiwayVariant::CFCascade
-          ? static_cast<std::size_t>(
-                2 * gather::CascadePlan::capacity(tile, warp_size, cfg.e, cfg.k)) *
-                sizeof(T)
-          : static_cast<std::size_t>(tile) * sizeof(T);
+  const std::size_t mshared = multiway_merge_shared_bytes<T>(cfg, warp_size);
 
   std::vector<T>* src = &buf;
   std::vector<T>* dst = &tmp;

@@ -253,7 +253,7 @@ void check_scatter_bank_crs(ProofStep& st, int w, int e) {
 /// dynamic-cost screening of sampled gather/scatter/store rows.  `thorough`
 /// sweeps every virtual warp and round of the sampled tiles; otherwise a
 /// boundary subset keeps the full (w, E, k) sweep affordable.
-void check_plan_faithfulness(ProofStep& st, int w, int e, int k,
+void check_plan_faithfulness(ProofStep& st, int w, int e,
                              const std::vector<std::vector<std::int64_t>>& samples,
                              bool thorough) {
   const std::int64_t we = static_cast<std::int64_t>(w) * e;
@@ -424,8 +424,7 @@ ProofObject verify_multiway_cascade(int w, int e, int k,
   check_scatter_residue(po.add_step("scatter-residue"), e, w);
   check_scatter_bank_crs(po.add_step("scatter-bank-crs"), w, e);
   const bool thorough = e == std::max(2, w / 2);
-  check_plan_faithfulness(po.add_step("plan-faithfulness"), w, e, k, samples,
-                          thorough);
+  check_plan_faithfulness(po.add_step("plan-faithfulness"), w, e, samples, thorough);
 
   bool any_failed = false;
   for (const auto& st : po.steps) any_failed |= st.status == StepStatus::kFailed;

@@ -109,48 +109,34 @@ void expect_identical(const Observed& a, const Observed& b, const std::string& w
 
 std::vector<BulkCase> bulk_cases() {
   std::vector<BulkCase> cases;
-  auto add = [&](BulkCase c, std::string tag) {
+  auto add = [&](int w, int e, int u, int k, std::int64_t n, std::string tag) -> BulkCase& {
+    BulkCase& c = cases.emplace_back();
+    c.w = w;
+    c.e = e;
+    c.u = u;
+    c.k = k;
+    c.n = n;
     c.tag = std::move(tag);
-    cases.push_back(c);
+    return c;
   };
   // Pairwise CF across widths, coprime and non-coprime E, ragged n.
-  add({4, 3, 8, 0, 8 * 3 * 8 + 5}, "w4_E3_coprime");
-  add({8, 5, 16, 0, 16 * 5 * 8 + 7}, "w8_E5_coprime");
-  add({8, 6, 16, 0, 16 * 6 * 8 + 3}, "w8_E6_noncoprime");
-  add({16, 15, 32, 0, 32 * 15 * 4 + 11}, "w16_E15_coprime");
-  add({32, 12, 32, 0, 32 * 12 * 4 + 1}, "w32_E12_noncoprime");
-  add({64, 9, 64, 0, 64 * 9 * 4 + 17}, "w64_E9_coprime");
+  add(4, 3, 8, 0, 8 * 3 * 8 + 5, "w4_E3_coprime");
+  add(8, 5, 16, 0, 16 * 5 * 8 + 7, "w8_E5_coprime");
+  add(8, 6, 16, 0, 16 * 6 * 8 + 3, "w8_E6_noncoprime");
+  add(16, 15, 32, 0, 32 * 15 * 4 + 11, "w16_E15_coprime");
+  add(32, 12, 32, 0, 32 * 12 * 4 + 1, "w32_E12_noncoprime");
+  add(64, 9, 64, 0, 64 * 9 * 4 + 17, "w64_E9_coprime");
   // The uncertified fallthrough paths must also agree: baseline serial
   // merge, the disable_rho ablation, and the CF block-sort extension.
-  {
-    BulkCase c{8, 5, 16, 0, 16 * 5 * 8 + 7};
-    c.variant = Variant::Baseline;
-    add(c, "w8_E5_baseline");
-  }
-  {
-    BulkCase c{8, 6, 16, 0, 16 * 6 * 8 + 3};
-    c.disable_rho = true;
-    add(c, "w8_E6_disable_rho");
-  }
-  {
-    BulkCase c{8, 5, 16, 0, 16 * 5 * 8 + 7};
-    c.cf_blocksort = true;
-    add(c, "w8_E5_cf_blocksort");
-  }
+  add(8, 5, 16, 0, 16 * 5 * 8 + 7, "w8_E5_baseline").variant = Variant::Baseline;
+  add(8, 6, 16, 0, 16 * 6 * 8 + 3, "w8_E6_disable_rho").disable_rho = true;
+  add(8, 5, 16, 0, 16 * 5 * 8 + 7, "w8_E5_cf_blocksort").cf_blocksort = true;
   // Multiway: cascade at k in {2, 4, 8} plus the LoserTree fallthrough.
-  for (const int k : {2, 4, 8}) {
-    BulkCase c{8, 5, 16, k, 16 * 5 * 64 + 9};
-    add(c, "w8_E5_cascade_k" + std::to_string(k));
-  }
-  {
-    BulkCase c{8, 6, 16, 4, 16 * 6 * 16 + 5};
-    add(c, "w8_E6_cascade_k4_noncoprime");
-  }
-  {
-    BulkCase c{8, 5, 16, 4, 16 * 5 * 16 + 5};
-    c.mvariant = MultiwayVariant::LoserTree;
-    add(c, "w8_E5_losertree_k4");
-  }
+  for (const int k : {2, 4, 8})
+    add(8, 5, 16, k, 16 * 5 * 64 + 9, "w8_E5_cascade_k" + std::to_string(k));
+  add(8, 6, 16, 4, 16 * 6 * 16 + 5, "w8_E6_cascade_k4_noncoprime");
+  add(8, 5, 16, 4, 16 * 5 * 16 + 5, "w8_E5_losertree_k4").mvariant =
+      MultiwayVariant::LoserTree;
   return cases;
 }
 
@@ -211,7 +197,8 @@ INSTANTIATE_TEST_SUITE_P(Shapes, BulkChargeCases, ::testing::ValuesIn(bulk_cases
 // bulk path skips per-access events), and tracing must observe the same
 // access stream with bulk charging globally enabled as with it disabled.
 TEST(BulkCharge, TracingForcesLanePathAndSeesIdenticalEvents) {
-  const BulkCase c{8, 5, 16, 0, 16 * 5 * 8 + 7};
+  BulkCase c;  // pairwise CF, w=8, E=5, u=16
+  c.n = 16 * 5 * 8 + 7;
   const std::vector<int> input = rand_vec(99, c.n);
 
   auto traced = [&](bool bulk) {

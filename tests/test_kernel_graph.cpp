@@ -9,8 +9,10 @@
 #include <algorithm>
 #include <atomic>
 #include <random>
+#include <sstream>
 
 #include "gpusim/launcher.hpp"
+#include "sort/engine.hpp"
 #include "sort/merge_sort.hpp"
 
 using namespace cfmerge;
@@ -450,3 +452,51 @@ INSTANTIATE_TEST_SUITE_P(Shapes, GraphSortBitIdentity,
                                   "_w" + std::to_string(c.w) + "_E" + std::to_string(c.e) +
                                   "_u" + std::to_string(c.u) + "_n" + std::to_string(c.n);
                          });
+
+// The traced engine entry points: per-block sinks are moved into the
+// attached sink in (enqueue id, block id) order, so the whole event stream
+// (events, phase-name order, per-lane addresses) is byte-identical for
+// every worker count and both graph-execution modes.
+TEST(KernelGraph, EngineTraceCsvIdenticalAcrossThreadsAndModes) {
+  std::mt19937_64 rng(14);
+  std::vector<int> input(std::size_t{1} << 16);
+  for (auto& x : input) x = static_cast<int>(rng() % 1000000) - 500000;
+
+  sort::MergeConfig cf;
+  cf.e = 15;
+  cf.u = 512;
+  cf.variant = sort::Variant::CFMerge;
+  sort::MultiwayConfig kway;
+  kway.e = 15;
+  kway.u = 256;
+  kway.k = 4;
+
+  for (const bool multiway : {false, true}) {
+    auto traced_csv = [&](int threads, GraphExec mode) {
+      Launcher launcher(DeviceSpec::scaled_turing(4));
+      launcher.set_threads(threads);
+      TraceSink sink;
+      launcher.set_trace(&sink);
+      sort::SortEngine engine(launcher);
+      std::vector<int> data = input;
+      if (multiway) {
+        engine.sort_multiway(data, kway, mode);
+      } else {
+        engine.sort(data, cf, mode);
+      }
+      EXPECT_TRUE(std::is_sorted(data.begin(), data.end()));
+      EXPECT_GT(sink.size(), 0u);
+      std::ostringstream os;
+      sink.write_csv(os);
+      return os.str();
+    };
+    const std::string ref = traced_csv(1, GraphExec::Serial);
+    for (const GraphExec mode : {GraphExec::Serial, GraphExec::Overlap})
+      for (const int threads : {1, 2, 4}) {
+        SCOPED_TRACE(std::string(multiway ? "sort_multiway" : "sort") +
+                     (mode == GraphExec::Serial ? " serial" : " overlap") +
+                     " threads=" + std::to_string(threads));
+        EXPECT_TRUE(traced_csv(threads, mode) == ref);
+      }
+  }
+}

@@ -282,6 +282,13 @@ TEST(LauncherParallel, ThrowingKernelLeavesLauncherIntact) {
   TraceSink sink;
   launcher.set_trace(&sink);
   const LaunchShape shape{32, 8, 0, 8};
+  // The sink already holds a committed launch's events.
+  launcher.launch("before", shape, mixed_traffic_body);
+  launcher.clear_history();
+  ASSERT_GT(sink.size(), 0u);
+  std::ostringstream before_csv;
+  sink.write_csv(before_csv);
+
   auto faulty = [](BlockContext& ctx) {
     std::vector<std::int64_t> addrs{0, 1, 2, 3, 4, 5, 6, 7};
     ctx.charge_shared(0, addrs);
@@ -290,8 +297,11 @@ TEST(LauncherParallel, ThrowingKernelLeavesLauncherIntact) {
   EXPECT_THROW(launcher.launch("faulty", shape, faulty), std::runtime_error);
   // No partial report, no partial trace, no leaked threads (TSan-checked).
   EXPECT_TRUE(launcher.history().empty());
-  EXPECT_EQ(sink.size(), 0u);
+  std::ostringstream after_csv;
+  sink.write_csv(after_csv);
+  EXPECT_EQ(after_csv.str(), before_csv.str());
   EXPECT_EQ(launcher.total_counters().shared_accesses, 0u);
+  sink.clear();
 
   // The launcher stays usable after the failure.
   const auto report = launcher.launch("ok", shape, [](BlockContext& ctx) {

@@ -293,3 +293,34 @@ TEST(MultiwaySort, EmptySingletonAndInvalidConfigs) {
   bad.u = 12;  // not a warp multiple
   EXPECT_THROW((void)merge_sort_multiway(launcher, data, bad), std::invalid_argument);
 }
+
+TEST(MultiwaySort, BlockThatDoesNotFitOnAnSmIsRejectedUpFront) {
+  // The cascade's two stage buffers make a k=4, u=512 block too big for a
+  // Turing SM's shared memory: the engine rejects it before any kernel
+  // runs, naming k, u and the shared bytes, and leaves no history behind.
+  Launcher launcher(DeviceSpec::scaled_turing(4));
+  SortEngine engine(launcher);
+  std::mt19937_64 rng(13);
+  std::vector<int> data = rand_vec(rng, 100000);
+  MultiwayConfig cfg;
+  cfg.e = 15;
+  cfg.u = 256;
+  cfg.k = 4;
+  engine.sort_multiway(data, cfg);  // fits: leaves a history
+  ASSERT_FALSE(launcher.history().empty());
+
+  cfg.u = 512;
+  data = rand_vec(rng, 100000);
+  const std::size_t bytes = detail::multiway_merge_shared_bytes<int>(cfg, 32);
+  try {
+    engine.sort_multiway(data, cfg);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("k=4"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("u=512"), std::string::npos) << msg;
+    EXPECT_NE(msg.find(std::to_string(bytes) + " shared bytes"), std::string::npos) << msg;
+  }
+  EXPECT_TRUE(launcher.history().empty());
+  EXPECT_EQ(engine.stats().plan_misses, 1u);  // no plan was built for u=512
+}

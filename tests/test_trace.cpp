@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <sstream>
 
@@ -44,6 +45,62 @@ TEST(TraceSink, CsvExport) {
   const std::string csv = os.str();
   EXPECT_NE(csv.find("global_read"), std::string::npos);
   EXPECT_NE(csv.find("5 -1"), std::string::npos);
+}
+
+TEST(TraceSink, MergeMovesSegmentsAndRemapsPhases) {
+  TraceSink dst;
+  const std::vector<std::int64_t> a{10, 11, 12};
+  dst.record(0, 0, AccessKind::SharedRead, "load", a, 1);
+  dst.record(0, 1, AccessKind::SharedWrite, "store", a, 2);
+
+  // A different phase table: "store" is id 0 here, "load" id 1 in dst,
+  // and "merge" is new to dst.
+  TraceSink src;
+  const std::vector<std::int64_t> b{20, 21};
+  const std::vector<std::int64_t> c{30, 31, 32, 33};
+  src.record(5, 2, AccessKind::SharedRead, "store", b, 3);
+  src.record(5, 3, AccessKind::GlobalRead, "merge", c, 4);
+
+  const std::span<const std::int64_t> dst_span = dst.addresses(dst.events()[1]);
+  const std::span<const std::int64_t> src_span = src.addresses(src.events()[1]);
+  dst.merge_from(std::move(src));
+
+  EXPECT_EQ(src.size(), 0u);  // moved-from: empty
+  EXPECT_TRUE(src.phase_names().empty());
+
+  ASSERT_EQ(dst.size(), 4u);
+  EXPECT_EQ(dst.phase_names(), (std::vector<std::string>{"load", "store", "merge"}));
+  const auto phase = [&](std::size_t i) {
+    return dst.phase_names()[static_cast<std::size_t>(dst.events()[i].phase_id)];
+  };
+  EXPECT_EQ(phase(0), "load");
+  EXPECT_EQ(phase(1), "store");
+  EXPECT_EQ(phase(2), "store");
+  EXPECT_EQ(phase(3), "merge");
+  EXPECT_EQ(dst.events()[2].block, 5);
+  EXPECT_EQ(dst.events()[3].warp, 3);
+  EXPECT_EQ(dst.shared_conflicts("store"), 2 + 3);
+
+  // Spans taken before the merge read the same values afterwards: the
+  // adopted segment changed owner, not address.
+  EXPECT_TRUE(std::ranges::equal(dst_span, a));
+  EXPECT_TRUE(std::ranges::equal(src_span, c));
+  EXPECT_EQ(dst.addresses(dst.events()[3]).data(), src_span.data());
+  EXPECT_TRUE(std::ranges::equal(dst.addresses(dst.events()[2]), b));
+
+  // Recording after a merge keeps appending in order.
+  dst.record(6, 0, AccessKind::SharedRead, "merge", a, 0);
+  ASSERT_EQ(dst.size(), 5u);
+  EXPECT_TRUE(std::ranges::equal(dst.addresses(dst.events()[4]), a));
+  std::ostringstream os;
+  dst.write_csv(os);
+  EXPECT_EQ(os.str(),
+            "block,warp,kind,phase,cost,addresses\n"
+            "0,0,shared_read,load,1,10 11 12\n"
+            "0,1,shared_write,store,2,10 11 12\n"
+            "5,2,shared_read,store,3,20 21\n"
+            "5,3,global_read,merge,4,30 31 32 33\n"
+            "6,0,shared_read,merge,0,10 11 12\n");
 }
 
 TEST(Tracing, LauncherAttachesSinkToEveryBlock) {

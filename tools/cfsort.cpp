@@ -15,7 +15,10 @@
 //     --u=<threads per block>                     (default 512)
 //     --k=<merge arity>                           k-way multiway sort (requires
 //                                                 --algo=cf; k=0, the default,
-//                                                 keeps the pairwise pipeline)
+//                                                 keeps the pairwise pipeline;
+//                                                 the cascade at k > 2 fits on
+//                                                 an SM only at a smaller u,
+//                                                 e.g. --k=4 --u=256)
 //     --multiway=cascade|losertree                multiway variant (default
 //                                                 cascade — the conflict-free
 //                                                 in-shared cascade; losertree
@@ -81,7 +84,7 @@
 //   cfsort --algo=baseline --dist=worst-case --n=491520 --profile
 //   cfsort --algo=cf --json | jq .throughput_elem_per_us
 //   cfsort --algo=cf --segments=16 --json | jq .overlap_speedup
-//   cfsort --algo=cf --k=4 --json | jq .passes
+//   cfsort --algo=cf --k=4 --u=256 --json | jq .passes
 //   cfsort --algo=cf --k=4 --multiway=losertree --profile
 //   cfsort --op=permute --e=15 --u=512 --json | jq .totals.bank_conflicts
 //   cfsort --op=transpose --n=122880 --profile
@@ -95,6 +98,7 @@
 #include <memory>
 #include <optional>
 #include <random>
+#include <stdexcept>
 #include <string>
 
 #include "cfmerge.hpp"
@@ -237,9 +241,7 @@ std::vector<std::vector<std::int32_t>> split_segments(const std::vector<std::int
   return segments;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   Options o = parse(argc, argv);  // mutable: --tune overrides o.e / o.u
   gpusim::DeviceSpec dev = make_device(o.device);
   dev.bulk_charge = !o.no_bulk_charge;
@@ -571,4 +573,16 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cfsort: warning: could not persist plan cache to %s\n",
                  store->file_path().string().c_str());
   return 0;
+}
+
+}  // namespace
+
+// A configuration the simulator rejects (a malformed number, a block that
+// does not fit on an SM, ...) is a usage error, not a crash.
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    usage(e.what());
+  }
 }

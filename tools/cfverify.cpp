@@ -248,7 +248,7 @@ verify::ShadowSummary run_shadow() {
 void print_text(const verify::VerifyReport& report) {
   auto line = [](const verify::ProofObject& p, bool want_proved) {
     const char* mark = (p.proved() == want_proved) ? "ok " : "FAIL";
-    char arity[8] = "    ";
+    char arity[16] = "    ";
     if (p.k > 0) std::snprintf(arity, sizeof arity, "k=%-2d", p.k);
     std::printf("  [%s] %-22s w=%-3d E=%-3d %s d=%lld  %s\n", mark, p.schedule.c_str(),
                 p.w, p.e, arity, static_cast<long long>(p.d),

@@ -7,7 +7,9 @@
 #
 # thread    proves the Launcher's worker pool is race-free: builds the
 #           executor tests and the shadow-checker tests (per-block audit
-#           shards, no lock) with ThreadSanitizer and runs them with a parallel
+#           shards, no lock) and the tracer tests (per-block trace sinks whose
+#           address segments the launcher moves into the attached sink) with
+#           ThreadSanitizer and runs them with a parallel
 #           default executor (CFMERGE_SIM_THREADS=4), so every launch in
 #           every test — not just the explicitly parallel ones — exercises
 #           the pool.  TSan aborts on any data race, so a plain pass is the
@@ -15,7 +17,8 @@
 # address   proves the engine/executor memory handling is clean
 #           (ASan + LeakSan).  The SortEngine suite is the interesting one —
 #           cached plans own the buffers their kernel bodies capture and the
-#           scratch arena recycles allocations across leases, so
+#           scratch arena recycles allocations across leases, and an
+#           attached TraceSink adopts the per-block sinks' address segments, so
 #           use-after-free/leak bugs in that ownership story surface as hard
 #           failures.
 # undefined runs the whole tier-1 test suite under UBSan with
@@ -30,12 +33,12 @@ case "$MODE" in
   thread)
     DEFAULT_BUILD=build-tsan
     TARGETS="test_launcher test_merge_sort test_kernel_graph test_segmented_sort \
-             test_shadow"
+             test_shadow test_trace"
     ;;
   address)
     DEFAULT_BUILD=build-asan
     TARGETS="test_launcher test_kernel_graph test_sort_engine test_merge_sort \
-             test_segmented_sort test_batched_merge"
+             test_segmented_sort test_batched_merge test_trace"
     ;;
   undefined)
     DEFAULT_BUILD=build-ubsan
