@@ -496,6 +496,7 @@ TEST(KernelGraph, EngineTraceCsvIdenticalAcrossThreadsAndModes) {
         SCOPED_TRACE(std::string(multiway ? "sort_multiway" : "sort") +
                      (mode == GraphExec::Serial ? " serial" : " overlap") +
                      " threads=" + std::to_string(threads));
+        // EXPECT_TRUE, not EXPECT_EQ: a mismatch would print two ~30 MB CSVs.
         EXPECT_TRUE(traced_csv(threads, mode) == ref);
       }
   }
